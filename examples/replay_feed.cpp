@@ -144,7 +144,8 @@ bool bits_equal(double a, double b) noexcept {
 }
 
 // The parity reference: the same feed through StreamIngestor::push in
-// process. The wire must produce bit-identical windows.
+// process. The wire must produce the same windows: equal start seqs and
+// bit-identical raw matrices.
 bool check_parity(const MetricRegistry& registry,
                   const StreamIngestConfig& cfg,
                   const std::vector<FeedRow>& feed,
@@ -187,12 +188,14 @@ bool check_parity(const MetricRegistry& registry,
     for (std::size_t i = 0; i < got.size(); ++i) {
       const TriggeredWindow& a = *got[i];
       const TriggeredWindow& b = *want[i];
-      if (a.start_seq != b.start_seq ||
-          a.features.size() != b.features.size()) {
+      if (a.start_seq != b.start_seq || a.raw.rows() != b.raw.rows() ||
+          a.raw.cols() != b.raw.cols()) {
         return false;
       }
-      for (std::size_t f = 0; f < a.features.size(); ++f) {
-        if (!bits_equal(a.features[f], b.features[f])) return false;
+      for (std::size_t r = 0; r < a.raw.rows(); ++r) {
+        for (std::size_t c = 0; c < a.raw.cols(); ++c) {
+          if (!bits_equal(a.raw(r, c), b.raw(r, c))) return false;
+        }
       }
     }
   }

@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# Repo check: the tier-1 build + test suite, a serving smoke run (train a
+# Repo check: the tier-1 build + test suite, the same suite again under
+# `ctest -j --schedule-random --repeat until-fail:3` (test processes run
+# in parallel in a shuffled order, so a test that leans on another's
+# files or timing fails here), a serving smoke run (train a
 # tiny model, export a bundle, serve 100 windows, assert bit-identical
 # agreement with the offline pipeline), a serving chaos smoke (burst a
 # ServiceHost under injected slow/failing extractions and poisoned bundle
@@ -18,13 +21,11 @@
 # fleet smoke run (deterministic consistent-hash routing must beat
 # round-robin on cache hit rate; timings land in BENCH_fleet.json), a
 # fleet chaos smoke (kill-under-load conservation, poisoned-canary
-# containment, guard-window rollback, promote, typed drain), a stream
-# ingest smoke (replay a gapped/NaN-ridden 1 Hz feed, assert incremental
-# vs batch feature parity on every emitted window and the 5x emit
-# speedup gate; timings land in BENCH_stream.json), a wire smoke (stream
-# a feed over the framed socket transport, assert row conservation,
-# bit-identical windows vs the in-process replay, and diagnosis parity
-# through a trained bundle; results land in BENCH_wire.json), a wire
+# containment, guard-window rollback, promote, typed drain), a wire
+# smoke (stream a feed over the framed socket transport, assert row
+# conservation, bit-identical windows vs the in-process replay, and
+# diagnosis parity through a trained bundle; results land in
+# BENCH_wire.json), a wire
 # chaos smoke (seeded corrupt/duplicate/drop/slow-loris/backpressure/
 # server-restart scenarios, each asserting every sent row ends exactly
 # once in {ingested, typed-rejected} with nothing silently lost), an
@@ -43,6 +44,11 @@ echo "== tier 1: build + ctest =="
 cmake -B build -S . > /dev/null
 cmake --build build -j"$(nproc)" > /dev/null
 (cd build && ctest --output-on-failure -j"$(nproc)")
+
+echo
+echo "== tier 1 shuffled: parallel random order, each test up to 3 times =="
+(cd build && ctest --output-on-failure -j"$(nproc)" --schedule-random \
+  --repeat until-fail:3)
 
 echo
 echo "== serving smoke: export bundle + serve 100 windows =="
@@ -68,9 +74,6 @@ echo
 echo "== fleet chaos smoke: kill/canary/rollback containment gates =="
 (cd build/bench && ./bench_fleet --chaos-smoke)
 
-echo
-echo "== stream smoke: incremental/batch parity + emit speedup gate =="
-(cd build/bench && ./bench_stream_ingest --smoke)
 
 echo
 echo "== wire smoke: conservation + window/diagnosis parity over the socket =="

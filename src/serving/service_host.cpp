@@ -285,31 +285,6 @@ std::vector<HostResult> ServiceHost::diagnose_batch(
   return results;
 }
 
-HostResult ServiceHost::diagnose_with_retry(const Matrix& window,
-                                            Deadline deadline,
-                                            const BackoffConfig& backoff) {
-  // If the deadline is already gone, retry_with_backoff never attempts
-  // and `last` is returned as-is — which is then the correct status.
-  HostResult last;
-  last.status = RequestStatus::RejectedDeadline;
-  const RetryResult outcome = retry_with_backoff(
-      backoff,
-      [&] {
-        last = diagnose(window, deadline);
-        return !is_retriable(last.status);
-      },
-      deadline);
-  if (outcome == RetryResult::DeadlineExpired &&
-      is_retriable(last.status)) {
-    // The budget, not the host, ended the retry: the caller's answer is
-    // "your deadline passed", not the last transient status we happened
-    // to see.
-    last = HostResult{};
-    last.status = RequestStatus::RejectedDeadline;
-  }
-  return last;
-}
-
 ReloadReport ServiceHost::reload(ModelBundle bundle) {
   std::lock_guard<std::mutex> reload_lock(reload_mutex_);
   ReloadReport report;

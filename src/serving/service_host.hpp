@@ -45,7 +45,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/backoff.hpp"
 #include "common/deadline.hpp"
 #include "serving/diagnosis_service.hpp"
 #include "serving/hot_reload.hpp"
@@ -156,15 +155,6 @@ class ServiceHost : public Diagnoser {
   /// Windows past the admission bound come back RejectedQueueFull.
   std::vector<HostResult> diagnose_batch(std::span<const Matrix> windows,
                                          Deadline deadline);
-
-  /// diagnose + seeded-backoff retry of retriable outcomes (Failed,
-  /// RejectedQueueFull), bounded by the deadline. Rejections that express
-  /// deliberate shedding are returned immediately.
-  [[deprecated(
-      "use the tier-agnostic diagnose_with_retry(Diagnoser&, "
-      "DiagnoseRequest, BackoffConfig) from serving/diagnoser.hpp")]]
-  HostResult diagnose_with_retry(const Matrix& window, Deadline deadline,
-                                 const BackoffConfig& backoff);
 
   /// Validates `bundle` against the probe set and atomically swaps it in;
   /// on any failure the previous service keeps serving (rolled_back).

@@ -1,7 +1,5 @@
 #include "streaming/ingest.hpp"
 
-#include <chrono>
-#include <cmath>
 #include <limits>
 #include <ostream>
 #include <utility>
@@ -15,11 +13,6 @@ namespace alba {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-double seconds_between(std::chrono::steady_clock::time_point from,
-                       std::chrono::steady_clock::time_point to) noexcept {
-  return std::chrono::duration<double>(to - from).count();
-}
 
 }  // namespace
 
@@ -44,15 +37,14 @@ IngestStats& IngestStats::operator+=(const IngestStats& o) noexcept {
   windows_flushed += o.windows_flushed;
   rejected_backpressure += o.rejected_backpressure;
   decode_errors += o.decode_errors;
-  emit_seconds += o.emit_seconds;
   return *this;
 }
 
 std::string format_ingest_summary(const IngestStats& s) {
   std::string line = strformat(
       "rows: %llu accepted (%llu repaired), %llu dup, %llu late, "
-      "%llu missing, %llu resets; windows: %llu emitted (%llu recomputed), "
-      "%llu dropped, %llu flushed",
+      "%llu missing, %llu resets; windows: %llu emitted, %llu dropped, "
+      "%llu flushed",
       static_cast<unsigned long long>(s.accepted),
       static_cast<unsigned long long>(s.reordered),
       static_cast<unsigned long long>(s.duplicates),
@@ -60,7 +52,6 @@ std::string format_ingest_summary(const IngestStats& s) {
       static_cast<unsigned long long>(s.missing_rows),
       static_cast<unsigned long long>(s.resets),
       static_cast<unsigned long long>(s.windows_emitted),
-      static_cast<unsigned long long>(s.windows_recomputed),
       static_cast<unsigned long long>(s.windows_dropped),
       static_cast<unsigned long long>(s.windows_flushed));
   if (s.rejected_backpressure > 0 || s.decode_errors > 0) {
@@ -74,8 +65,8 @@ std::string format_ingest_summary(const IngestStats& s) {
 
 std::string ingest_stats_csv_header() {
   return "label,accepted,duplicates,reordered,late_dropped,missing_rows,"
-         "resets,windows_emitted,windows_dropped,windows_recomputed,"
-         "windows_flushed,rejected_backpressure,decode_errors,emit_seconds";
+         "resets,windows_emitted,windows_dropped,windows_flushed,"
+         "rejected_backpressure,decode_errors";
 }
 
 std::string ingest_stats_csv_row(std::string_view label,
@@ -85,8 +76,7 @@ std::string ingest_stats_csv_row(std::string_view label,
   // columns.
   return csv_escape(std::string(label)) +
          strformat(
-             ",%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-             "%llu,%.6f",
+             ",%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu",
              static_cast<unsigned long long>(s.accepted),
              static_cast<unsigned long long>(s.duplicates),
              static_cast<unsigned long long>(s.reordered),
@@ -95,11 +85,9 @@ std::string ingest_stats_csv_row(std::string_view label,
              static_cast<unsigned long long>(s.resets),
              static_cast<unsigned long long>(s.windows_emitted),
              static_cast<unsigned long long>(s.windows_dropped),
-             static_cast<unsigned long long>(s.windows_recomputed),
              static_cast<unsigned long long>(s.windows_flushed),
              static_cast<unsigned long long>(s.rejected_backpressure),
-             static_cast<unsigned long long>(s.decode_errors),
-             s.emit_seconds);
+             static_cast<unsigned long long>(s.decode_errors));
 }
 
 void write_ingest_stats_csv(
@@ -122,75 +110,14 @@ StreamIngestor::StreamIngestor(MetricRegistry registry,
   ALBA_CHECK(config_.window_length > head + tail + 1)
       << "window_length " << config_.window_length << " too short for trim "
       << head << "+" << tail;
-  kept_head_ = head;
-  kept_len_ = config_.window_length - head - tail;
   capacity_ = config_.window_length + config_.stride;
-}
-
-void StreamIngestor::push_resolved(MetricFold& fold, std::size_t metric,
-                                   double r) {
-  if (fold.have_prev) {
-    if (registry_.metrics()[metric].kind == MetricKind::Counter) {
-      const double d = r - fold.prev;
-      fold.acc.add(d < 0.0 ? 0.0 : d);  // counter reset/wrap, like the batch
-    } else {
-      // Gauges drop their first kept sample to align with counter rates.
-      fold.acc.add(r);
-    }
-  }
-  fold.prev = r;
-  fold.have_prev = true;
-}
-
-void StreamIngestor::resolve_run(MetricFold& fold, std::size_t metric,
-                                 std::size_t run, double right) {
-  if (run == 0) return;
-  if (!fold.have_prev) {
-    // Leading NaNs take the nearest (right) finite value.
-    for (std::size_t t = 0; t < run; ++t) push_resolved(fold, metric, right);
-    return;
-  }
-  // Interior gap: the interpolate_nans recurrence, bit for bit.
-  const double left = fold.prev;
-  const double span_len = static_cast<double>(run + 1);
-  for (std::size_t t = 1; t <= run; ++t) {
-    const double frac = static_cast<double>(t) / span_len;
-    push_resolved(fold, metric, left + frac * (right - left));
-  }
-}
-
-void StreamIngestor::feed_window(WindowState& w, std::uint64_t s,
-                                 std::span<const double> values,
-                                 bool delivered) {
-  if (w.dirty) return;  // fold abandoned; emit will batch-recompute
-  if (s < w.start + kept_head_ || s >= w.start + kept_head_ + kept_len_) {
-    return;  // trimmed region: raw/missing bookkeeping only
-  }
-  const std::size_t m_count = registry_.size();
-  for (std::size_t m = 0; m < m_count; ++m) {
-    MetricFold& fold = w.folds[m];
-    const double v = delivered ? values[m] : kNaN;
-    if (std::isnan(v)) {
-      ++fold.pending;
-    } else {
-      if (fold.pending > 0) {
-        resolve_run(fold, m, fold.pending, v);
-        fold.pending = 0;
-      }
-      push_resolved(fold, m, v);
-    }
-    ++fold.examined;
-  }
 }
 
 void StreamIngestor::mark_row(NodeState& ns, int node, std::uint64_t s,
                               std::span<const double> values, bool delivered,
                               std::vector<TriggeredWindow>& out) {
   if (s == ns.next_open) {
-    WindowState w;
-    w.start = s;
-    w.folds.assign(registry_.size(), MetricFold{});
-    ns.windows.push_back(std::move(w));
+    ns.windows.push_back(WindowState{s, 0});
     ns.next_open += config_.stride;
   }
 
@@ -203,12 +130,9 @@ void StreamIngestor::mark_row(NodeState& ns, int node, std::uint64_t s,
   } else {
     ns.present[idx] = 0;
     ++ns.stats.missing_rows;
-  }
-
-  for (WindowState& w : ns.windows) {
-    if (s < w.start || s >= w.start + config_.window_length) continue;
-    if (!delivered) ++w.missing;
-    feed_window(w, s, values, delivered);
+    for (WindowState& w : ns.windows) {
+      if (s >= w.start && s < w.start + config_.window_length) ++w.missing;
+    }
   }
 
   // Window ends are strictly increasing by stride, so only the front can
@@ -230,40 +154,13 @@ void StreamIngestor::repair_row(NodeState& ns, std::uint64_t seq,
   --ns.stats.missing_rows;
 
   for (WindowState& w : ns.windows) {
-    if (seq < w.start || seq >= w.start + config_.window_length) continue;
-    --w.missing;
-    if (w.dirty) continue;
-    if (seq < w.start + kept_head_ ||
-        seq >= w.start + kept_head_ + kept_len_) {
-      continue;  // trimmed region never feeds the fold
-    }
-    const auto k = static_cast<std::uint32_t>(seq - (w.start + kept_head_));
-    for (std::size_t m = 0; m < registry_.size(); ++m) {
-      const double v = values[m];
-      if (std::isnan(v)) continue;  // NaN cell repairing a NaN slot: no-op
-      MetricFold& fold = w.folds[m];
-      const std::uint32_t resolved = fold.examined - fold.pending;
-      if (k < resolved) {
-        // The fold already committed values past this row; its incremental
-        // state cannot be rewound exactly, so the window falls back to the
-        // batch recompute at emit — correctness over speed.
-        w.dirty = true;
-        break;
-      }
-      // The row lands inside the still-unresolved trailing NaN run: the
-      // NaNs before it now have their right anchor (this value is the
-      // first finite at-or-after `resolved`), exactly as the batch
-      // interpolation will see them.
-      resolve_run(fold, m, k - resolved, v);
-      push_resolved(fold, m, v);
-      fold.pending = fold.examined - (k + 1);
-    }
+    if (seq >= w.start && seq < w.start + config_.window_length) --w.missing;
   }
 }
 
 void StreamIngestor::emit_front(NodeState& ns, int node,
                                 std::vector<TriggeredWindow>& out) {
-  WindowState w = std::move(ns.windows.front());
+  const WindowState w = ns.windows.front();
   ns.windows.pop_front();
   ns.frontier = ns.windows.empty() ? ns.next_open : ns.windows.front().start;
 
@@ -290,45 +187,8 @@ void StreamIngestor::emit_front(NodeState& ns, int node,
     }
   }
 
-  TriggeredWindow t;
-  t.node = node;
-  t.start_seq = w.start;
-  t.missing_rows = w.missing;
-  if (w.dirty) {
-    t.features = batch_features(raw, registry_, config_.preprocess);
-    t.recomputed = true;
-    ++ns.stats.windows_recomputed;
-  } else {
-    // The O(M) emit: resolve each metric's trailing NaN run and read its
-    // accumulators. No per-row work happens here.
-    const auto t0 = std::chrono::steady_clock::now();
-    t.features.resize(m_count * kStreamFeaturesPerMetric);
-    for (std::size_t m = 0; m < m_count; ++m) {
-      MetricFold& fold = w.folds[m];
-      if (fold.pending == fold.examined) {
-        // No finite sample in the kept region: the batch path zero-fills.
-        fold.pending = 0;
-        for (std::size_t k = 0; k < kept_len_; ++k) {
-          push_resolved(fold, m, 0.0);
-        }
-      } else if (fold.pending > 0) {
-        // Trailing NaNs take the nearest (left) finite value.
-        const std::size_t run = fold.pending;
-        fold.pending = 0;
-        for (std::size_t k = 0; k < run; ++k) {
-          push_resolved(fold, m, fold.prev);
-        }
-      }
-      fold.acc.emit(std::span<double>(t.features)
-                        .subspan(m * kStreamFeaturesPerMetric,
-                                 kStreamFeaturesPerMetric));
-    }
-    ns.stats.emit_seconds +=
-        seconds_between(t0, std::chrono::steady_clock::now());
-  }
-  t.raw = std::move(raw);
+  out.push_back(TriggeredWindow{node, w.start, std::move(raw), w.missing});
   ++ns.stats.windows_emitted;
-  out.push_back(std::move(t));
 }
 
 void StreamIngestor::reset_node(NodeState& ns, std::uint64_t seq) {
@@ -404,31 +264,6 @@ IngestStats StreamIngestor::total_stats() const {
 std::size_t StreamIngestor::windows_in_flight(int node) const {
   const auto it = nodes_.find(node);
   return it == nodes_.end() ? 0 : it->second.windows.size();
-}
-
-std::vector<double> StreamIngestor::batch_features(
-    const Matrix& raw, const MetricRegistry& registry,
-    const PreprocessConfig& config) {
-  std::vector<double> out(registry.size() * kStreamFeaturesPerMetric);
-  for (std::size_t m = 0; m < registry.size(); ++m) {
-    const std::vector<double> col =
-        preprocess_metric_column(raw, m, registry, config);
-    stream_features_batch(col, std::span<double>(out).subspan(
-                                   m * kStreamFeaturesPerMetric,
-                                   kStreamFeaturesPerMetric));
-  }
-  return out;
-}
-
-std::vector<std::string> stream_feature_names(const MetricRegistry& registry) {
-  std::vector<std::string> names;
-  names.reserve(registry.size() * kStreamFeaturesPerMetric);
-  for (std::size_t m = 0; m < registry.size(); ++m) {
-    for (const std::string& suffix : stream_feature_suffixes()) {
-      names.push_back(registry.metric(m).name + "_" + suffix);
-    }
-  }
-  return names;
 }
 
 }  // namespace alba

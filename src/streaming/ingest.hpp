@@ -1,5 +1,5 @@
 // Streaming ingestion front end: from a 1 Hz per-node telemetry feed to
-// triggered diagnosis windows with ready-made feature vectors.
+// triggered raw diagnosis windows.
 //
 // ALBADross's offline pipeline assumes a complete T x M window arrives at
 // once; a production LDMS feed delivers one row per node per second, out
@@ -20,25 +20,12 @@
 //    its last row. The gap policy decides what a window with undelivered
 //    rows does: Repair emits with the missing rows as NaN (the serving
 //    pipeline interpolates) up to `max_missing`, Strict drops any
-//    incomplete window. Either way the decision is typed and counted;
+//    incomplete window. Either way the decision is typed and counted.
 //
-//  * incremental O(M) features — every in-flight window maintains, per
-//    metric, the full preprocess-equivalent fold (trim, NaN interpolation,
-//    counter differencing — the preprocess_metric_column semantics) feeding
-//    a StreamAccumulator (Welford mean/var, min/max, P² quantile sketches).
-//    Emitting the feature vector costs O(M): resolve any trailing NaN run
-//    and read the accumulators. Mean/var/min/max are bit-identical to the
-//    batch path (StreamIngestor::batch_features); quantiles are exact
-//    (also bit-identical) up to kQuantileExactCap resolved values per
-//    window and pinned by the kQuantileDeltaGate contract beyond
-//    (stream_features.hpp).
-//
-// Out-of-order repairs keep exactness where possible: a gap-fill landing
-// inside a window's still-unresolved trailing NaN run is resolved in place
-// (still bit-identical); a fill behind a window's resolution point marks
-// that window dirty, and its features are recomputed from the assembled
-// raw window via the batch path at emit (`windows_recomputed`) — repaired
-// data never silently diverges from the batch reference.
+// A triggered window is only its ring rows: the ingestor does no per-row
+// feature work. The serving bundle's extraction (DiagnosisService) is the
+// one definition of a window's features, so a reordered repair is simply
+// a ring write that the window's raw matrix picks up at emit.
 //
 // Thread-safety: none. A StreamIngestor is a single collector thread's
 // object; shard nodes across instances to parallelize (results are
@@ -58,7 +45,6 @@
 
 #include "features/preprocessing.hpp"
 #include "linalg/matrix.hpp"
-#include "streaming/stream_features.hpp"
 #include "telemetry/registry.hpp"
 
 namespace alba {
@@ -78,8 +64,8 @@ struct StreamIngestConfig {
   // (overlapping windows), stride == window_length tumbles, stride >
   // window_length samples with gaps.
   std::size_t stride = 24;
-  // Trim semantics the incremental fold replicates (must match the serving
-  // bundle's preprocessing for the raw windows to diagnose identically).
+  // The serving bundle's trim, only validated against window_length; kept
+  // because the benchmark in e2ebench/ sets it.
   PreprocessConfig preprocess;
   GapPolicy gap_policy = GapPolicy::Repair;
   // Repair tolerance: max undelivered rows an emitted window may carry.
@@ -99,17 +85,13 @@ struct IngestStats {
   std::uint64_t resets = 0;         // forward jumps past the ring capacity
   std::uint64_t windows_emitted = 0;
   std::uint64_t windows_dropped = 0;    // gap policy vetoed the emit
-  std::uint64_t windows_recomputed = 0; // emitted via batch fallback (dirty)
+  std::uint64_t windows_recomputed = 0; // always 0; e2ebench/ reads it
   std::uint64_t windows_flushed = 0;    // in-flight, discarded by flush()
   // Wire-layer dispositions (filled by IngestServer, zero for in-process
   // feeds): rows shed by the per-node backpressure budget, and connections
   // closed on a typed frame decode error.
   std::uint64_t rejected_backpressure = 0;
   std::uint64_t decode_errors = 0;
-  // Wall-clock seconds spent producing feature vectors at emit time on the
-  // incremental path (dirty recomputes excluded) — the O(M) cost the bench
-  // compares against batch recomputation.
-  double emit_seconds = 0.0;
 
   IngestStats& operator+=(const IngestStats& o) noexcept;
 };
@@ -132,15 +114,12 @@ void write_ingest_stats_csv(
 
 /// One triggered window, ready for serving: the raw window_length x M
 /// matrix (undelivered rows are NaN; serving's preprocessing interpolates
-/// them) plus the streaming feature vector, M x kStreamFeaturesPerMetric,
-/// metric-major.
+/// them).
 struct TriggeredWindow {
   int node = 0;
   std::uint64_t start_seq = 0;
   Matrix raw;
-  std::vector<double> features;
   std::size_t missing_rows = 0;
-  bool recomputed = false;  // features came from the batch fallback
 };
 
 class StreamIngestor {
@@ -170,32 +149,10 @@ class StreamIngestor {
   const MetricRegistry& registry() const noexcept { return registry_; }
   const StreamIngestConfig& config() const noexcept { return config_; }
 
-  /// The batch reference: preprocess_metric_column + stream_features_batch
-  /// per metric over an assembled raw window. The incremental path must
-  /// match this (bit-identical for mean/var/min/max, delta-gated for
-  /// quantiles); dirty windows fall back to it wholesale.
-  static std::vector<double> batch_features(const Matrix& raw,
-                                            const MetricRegistry& registry,
-                                            const PreprocessConfig& config);
-
  private:
-  // One metric's window-local fold state: the resolved-value pipeline
-  // (interpolation + differencing) feeding the accumulator. `examined`
-  // counts kept rows the watermark has passed; the trailing `pending` of
-  // them are NaNs awaiting a right anchor.
-  struct MetricFold {
-    StreamAccumulator acc;
-    double prev = 0.0;  // last resolved value (interp anchor + diff base)
-    bool have_prev = false;
-    std::uint32_t examined = 0;
-    std::uint32_t pending = 0;
-  };
-
   struct WindowState {
     std::uint64_t start = 0;
     std::size_t missing = 0;  // undelivered rows in [start, start + L)
-    bool dirty = false;       // repair behind a resolution point
-    std::vector<MetricFold> folds;  // one per metric
   };
 
   struct NodeState {
@@ -218,25 +175,14 @@ class StreamIngestor {
   void mark_row(NodeState& ns, int node, std::uint64_t s,
                 std::span<const double> values, bool delivered,
                 std::vector<TriggeredWindow>& out);
-  void feed_window(WindowState& w, std::uint64_t s,
-                   std::span<const double> values, bool delivered);
   void repair_row(NodeState& ns, std::uint64_t seq,
                   std::span<const double> values);
   void emit_front(NodeState& ns, int node, std::vector<TriggeredWindow>& out);
-  void push_resolved(MetricFold& fold, std::size_t metric, double r);
-  void resolve_run(MetricFold& fold, std::size_t metric, std::size_t run,
-                   double right);
 
   MetricRegistry registry_;
   StreamIngestConfig config_;
   std::size_t capacity_ = 0;
-  std::size_t kept_head_ = 0;  // trim_head
-  std::size_t kept_len_ = 0;   // rows in the kept (feature) region
   std::map<int, NodeState> nodes_;
 };
-
-/// Feature names for the streaming vector, metric-major:
-/// "<metric>_<suffix>" for every registry metric x stream_feature_suffixes.
-std::vector<std::string> stream_feature_names(const MetricRegistry& registry);
 
 }  // namespace alba

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <numeric>
@@ -18,6 +17,7 @@
 #include "common/rng.hpp"
 #include "ml/metrics.hpp"
 #include "ml/random_forest.hpp"
+#include "temp_dir.hpp"
 
 namespace alba {
 namespace {
@@ -533,14 +533,14 @@ TEST(RoundStats, CsvLabelsWithCommasSurviveParseBack) {
   const std::string tricky = "batch=4,threads=2,\"warm\"";
   const std::vector<RoundStats> rounds{r};
 
-  const std::string path = "/tmp/alba_round_stats_csv_test.csv";
+  const ScopedTempDir dir;
+  const std::string path = dir.file("round_stats.csv");
   {
     std::ofstream out(path);
     ASSERT_TRUE(out.good());
     write_round_stats_csv(out, tricky, rounds);
   }
   const CsvTable table = read_csv(path);  // throws on ragged rows
-  std::remove(path.c_str());
 
   ASSERT_EQ(table.rows.size(), 1u);
   EXPECT_EQ(table.rows[0].size(), table.header.size());

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <span>
@@ -30,6 +29,7 @@
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
+#include "temp_dir.hpp"
 
 namespace alba {
 namespace {
@@ -237,8 +237,8 @@ TEST(Csv, EscapeQuotesAndCommas) {
 }
 
 TEST(Csv, WriteReadRoundtrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "alba_csv_test.csv").string();
+  const ScopedTempDir dir;
+  const std::string path = dir.file("roundtrip.csv");
   {
     CsvWriter w(path);
     w.write_header({"name", "value"});
@@ -253,7 +253,6 @@ TEST(Csv, WriteReadRoundtrip) {
   EXPECT_EQ(t.rows[2][0], "with \"quote\"");
   EXPECT_EQ(t.column_index("value"), 1u);
   EXPECT_THROW(t.column_index("missing"), Error);
-  std::filesystem::remove(path);
 }
 
 TEST(Csv, ReadMissingFileThrows) {
@@ -262,9 +261,9 @@ TEST(Csv, ReadMissingFileThrows) {
 
 namespace {
 
-std::string write_temp_csv(const std::string& name, const std::string& body) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / name).string();
+std::string write_temp_csv(const ScopedTempDir& dir, const std::string& name,
+                           const std::string& body) {
+  const std::string path = dir.file(name);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << body;
   return path;
@@ -273,27 +272,28 @@ std::string write_temp_csv(const std::string& name, const std::string& body) {
 }  // namespace
 
 TEST(Csv, CrlfLineEndingsAreStripped) {
+  const ScopedTempDir dir;
   const std::string path = write_temp_csv(
-      "alba_csv_crlf.csv", "name,value\r\na,1\r\nb,2\r\n");
+      dir, "crlf.csv", "name,value\r\na,1\r\nb,2\r\n");
   const CsvTable t = read_csv(path);
   ASSERT_EQ(t.rows.size(), 2u);
   EXPECT_EQ(t.header.back(), "value");  // no '\r' tail
   EXPECT_EQ(t.rows[0][1], "1");
   EXPECT_EQ(t.rows[1][1], "2");
-  std::filesystem::remove(path);
 }
 
 TEST(Csv, BlankLinesAreSkipped) {
+  const ScopedTempDir dir;
   const std::string path =
-      write_temp_csv("alba_csv_blank.csv", "name,value\na,1\n\nb,2\n\n");
+      write_temp_csv(dir, "blank.csv", "name,value\na,1\n\nb,2\n\n");
   const CsvTable t = read_csv(path);
   EXPECT_EQ(t.rows.size(), 2u);
-  std::filesystem::remove(path);
 }
 
 TEST(Csv, RaggedRowThrowsWithLineNumber) {
+  const ScopedTempDir dir;
   const std::string path = write_temp_csv(
-      "alba_csv_ragged.csv", "name,value\na,1\nb,2,unexpected,extra\n");
+      dir, "ragged.csv", "name,value\na,1\nb,2,unexpected,extra\n");
   try {
     read_csv(path);
     FAIL() << "expected alba::Error on ragged row";
@@ -303,12 +303,12 @@ TEST(Csv, RaggedRowThrowsWithLineNumber) {
     EXPECT_NE(msg.find("ragged row"), std::string::npos) << msg;
     EXPECT_NE(msg.find("4 fields"), std::string::npos) << msg;
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Csv, TrailingDelimiterThrowsWithHint) {
+  const ScopedTempDir dir;
   const std::string path =
-      write_temp_csv("alba_csv_trail.csv", "name,value\na,1,\n");
+      write_temp_csv(dir, "trail.csv", "name,value\na,1,\n");
   try {
     read_csv(path);
     FAIL() << "expected alba::Error on trailing delimiter";
@@ -317,12 +317,12 @@ TEST(Csv, TrailingDelimiterThrowsWithHint) {
     EXPECT_NE(msg.find(":2:"), std::string::npos) << msg;
     EXPECT_NE(msg.find("trailing delimiter"), std::string::npos) << msg;
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Csv, UnterminatedQuoteThrowsWithLineNumber) {
+  const ScopedTempDir dir;
   const std::string path = write_temp_csv(
-      "alba_csv_quote.csv", "name,value\na,\"open quote never closes\n");
+      dir, "quote.csv", "name,value\na,\"open quote never closes\n");
   try {
     read_csv(path);
     FAIL() << "expected alba::Error on unterminated quote";
@@ -331,18 +331,17 @@ TEST(Csv, UnterminatedQuoteThrowsWithLineNumber) {
     EXPECT_NE(msg.find(":2:"), std::string::npos) << msg;
     EXPECT_NE(msg.find("unterminated"), std::string::npos) << msg;
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Csv, QuotedFieldWithEmbeddedNewlineStillParses) {
+  const ScopedTempDir dir;
   const std::string path = write_temp_csv(
-      "alba_csv_multiline.csv", "name,value\n\"two\nlines\",1\nb,2\n");
+      dir, "multiline.csv", "name,value\n\"two\nlines\",1\nb,2\n");
   const CsvTable t = read_csv(path);
   ASSERT_EQ(t.rows.size(), 2u);
   EXPECT_EQ(t.rows[0][0], "two\nlines");
   // The physical line offset is tracked across the multi-line record: a
   // ragged row after it still reports the right line.
-  std::filesystem::remove(path);
 }
 
 

@@ -3,7 +3,6 @@
 // on tiny configurations so the whole binary stays fast.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <set>
 
@@ -13,6 +12,7 @@
 #include "core/proctor.hpp"
 #include "core/dataset_io.hpp"
 #include "core/report.hpp"
+#include "temp_dir.hpp"
 
 namespace alba {
 namespace {
@@ -291,19 +291,20 @@ TEST_F(CoreTest, ReportRenderingAndCsv) {
   EXPECT_NE(text.find("uncertainty F1"), std::string::npos);
   EXPECT_NE(text.find("legend"), std::string::npos);
 
-  const std::string path = "/tmp/alba_curves_test.csv";
+  const ScopedTempDir dir;
+  const std::string path = dir.file("curves.csv");
   write_curves_csv(path, result.methods);
   const CsvTable table = read_csv(path);
   EXPECT_EQ(table.header.size(), 11u);
   EXPECT_EQ(table.rows.size(), 2u * 5u);  // 2 methods × (0..4)
-  std::remove(path.c_str());
 }
 
 
 // ------------------------------------------------------------ dataset io ---
 
 TEST_F(CoreTest, FeatureMatrixBinaryRoundTrip) {
-  const std::string path = "/tmp/alba_feature_matrix_test.bin";
+  const ScopedTempDir dir;
+  const std::string path = dir.file("feature_matrix.bin");
   save_feature_matrix(path, data_->features);
   const FeatureMatrix loaded = load_feature_matrix(path);
   ASSERT_EQ(loaded.num_samples(), data_->features.num_samples());
@@ -317,28 +318,27 @@ TEST_F(CoreTest, FeatureMatrixBinaryRoundTrip) {
       EXPECT_DOUBLE_EQ(loaded.x(i, j), data_->features.x(i, j));
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST_F(CoreTest, FeatureMatrixRejectsGarbage) {
-  const std::string path = "/tmp/alba_feature_matrix_garbage.bin";
+  const ScopedTempDir dir;
+  const std::string path = dir.file("garbage.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "garbage bytes, definitely not a feature matrix file";
   }
   EXPECT_THROW(load_feature_matrix(path), Error);
-  std::remove(path.c_str());
   EXPECT_THROW(load_feature_matrix("/nonexistent/fm.bin"), Error);
 }
 
 TEST_F(CoreTest, FeatureMatrixCsvExport) {
-  const std::string path = "/tmp/alba_feature_matrix_test.csv";
+  const ScopedTempDir dir;
+  const std::string path = dir.file("feature_matrix.csv");
   write_feature_matrix_csv(path, data_->features);
   const CsvTable table = read_csv(path);
   EXPECT_EQ(table.header.size(), 6u + data_->features.num_features());
   EXPECT_EQ(table.rows.size(), data_->features.num_samples());
   EXPECT_EQ(table.header[1], "anomaly");
-  std::remove(path.c_str());
 }
 
 TEST_F(CoreTest, ExperimentsDeterministic) {

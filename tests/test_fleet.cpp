@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -19,6 +18,7 @@
 #include "serving/fleet.hpp"
 #include "serving/model_bundle.hpp"
 #include "telemetry/run_generator.hpp"
+#include "temp_dir.hpp"
 
 namespace alba {
 namespace {
@@ -439,12 +439,14 @@ TEST(Fleet, StatsSnapshotsStayConsistentUnderLoad) {
 
 // --------------------------------------------------------------- rollout ---
 
-constexpr const char* kRolloutGood = "/tmp/alba_fleet_rollout_good.bin";
-constexpr const char* kRolloutBad = "/tmp/alba_fleet_rollout_bad.bin";
+// Each rollout test writes its bundles into its own ScopedTempDir: ctest
+// runs every case as a separate process, and a shared path would race.
 
 TEST(FleetRollout, HealthyCanaryPromotesFleetWide) {
   const FleetEnv& e = env();
-  save_model_bundle_file(kRolloutGood, bundle_from_bytes(e.bundle_b));
+  const ScopedTempDir dir;
+  const std::string good = dir.file("rollout_good.bin");
+  save_model_bundle_file(good, bundle_from_bytes(e.bundle_b));
   ServingFleet fleet(make_replicas(3, e.bundle_a));
   fleet.set_probe_windows({e.windows[0]});
 
@@ -459,7 +461,7 @@ TEST(FleetRollout, HealthyCanaryPromotesFleetWide) {
   // slowdown far above any noise floor.
   rollout.max_p99_ratio = 0.0;
   const std::size_t other = (rollout.canary + 1) % 3;
-  const ReloadReport push = fleet.start_rollout(kRolloutGood, rollout);
+  const ReloadReport push = fleet.start_rollout(good, rollout);
   EXPECT_TRUE(push.ok) << push.error;
   EXPECT_EQ(fleet.rollout_state(), RolloutState::Canarying);
   EXPECT_EQ(fleet.host(rollout.canary).generation(), 2u);
@@ -487,20 +489,21 @@ TEST(FleetRollout, HealthyCanaryPromotesFleetWide) {
   EXPECT_FALSE(report.summary().empty());
   // Terminal states answer repeat calls without re-promoting.
   EXPECT_EQ(fleet.advance_rollout(), RolloutDecision::Promoted);
-  std::remove(kRolloutGood);
 }
 
 TEST(FleetRollout, PoisonedCanaryPushNeverReachesASecondReplica) {
   const FleetEnv& e = env();
-  save_model_bundle_file(kRolloutGood, bundle_from_bytes(e.bundle_b));
-  write_poisoned_bundle(kRolloutGood, kRolloutBad, BundlePoison::Truncate,
-                        77);
+  const ScopedTempDir dir;
+  const std::string good = dir.file("rollout_good.bin");
+  const std::string bad = dir.file("rollout_bad.bin");
+  save_model_bundle_file(good, bundle_from_bytes(e.bundle_b));
+  write_poisoned_bundle(good, bad, BundlePoison::Truncate, 77);
   ServingFleet fleet(make_replicas(3, e.bundle_a));
   fleet.set_probe_windows({e.windows[0]});
 
   RolloutConfig rollout;
   rollout.canary = 0;
-  const ReloadReport push = fleet.start_rollout(kRolloutBad, rollout);
+  const ReloadReport push = fleet.start_rollout(bad, rollout);
   EXPECT_FALSE(push.ok);
   EXPECT_TRUE(push.rolled_back);
   EXPECT_EQ(fleet.rollout_state(), RolloutState::CanaryRejected);
@@ -514,15 +517,15 @@ TEST(FleetRollout, PoisonedCanaryPushNeverReachesASecondReplica) {
     EXPECT_EQ(res.result.generation, 1u);
   }
   // The failed rollout is terminal, not wedged: a good push works now.
-  const ReloadReport retry = fleet.start_rollout(kRolloutGood, rollout);
+  const ReloadReport retry = fleet.start_rollout(good, rollout);
   EXPECT_TRUE(retry.ok) << retry.error;
-  std::remove(kRolloutGood);
-  std::remove(kRolloutBad);
 }
 
 TEST(FleetRollout, SlowCanaryRollsBackOnTheP99Guard) {
   const FleetEnv& e = env();
-  save_model_bundle_file(kRolloutGood, bundle_from_bytes(e.bundle_b));
+  const ScopedTempDir dir;
+  const std::string good = dir.file("rollout_good.bin");
+  save_model_bundle_file(good, bundle_from_bytes(e.bundle_b));
 
   // Canary-only slowdowns, switched on after the push: the bundle loads
   // and validates fine but regresses live latency.
@@ -543,7 +546,7 @@ TEST(FleetRollout, SlowCanaryRollsBackOnTheP99Guard) {
   rollout.guard_min_samples = 4;
   rollout.max_error_rate_delta = 1.0;  // isolate the p99 trigger
   rollout.max_p99_ratio = 2.0;
-  const ReloadReport push = fleet.start_rollout(kRolloutGood, rollout);
+  const ReloadReport push = fleet.start_rollout(good, rollout);
   ASSERT_TRUE(push.ok) << push.error;
   EXPECT_EQ(fleet.host(0).generation(), 2u);
 
@@ -577,18 +580,18 @@ TEST(FleetRollout, SlowCanaryRollsBackOnTheP99Guard) {
   const Diagnosis expected = reference->diagnose(w);
   EXPECT_EQ(after.result.diagnosis.label, expected.label);
   EXPECT_EQ(after.result.diagnosis.probs, expected.probs);
-  std::remove(kRolloutGood);
 }
 
 TEST(FleetRollout, StartWhileCanaryingThrows) {
   const FleetEnv& e = env();
-  save_model_bundle_file(kRolloutGood, bundle_from_bytes(e.bundle_b));
+  const ScopedTempDir dir;
+  const std::string good = dir.file("rollout_good.bin");
+  save_model_bundle_file(good, bundle_from_bytes(e.bundle_b));
   ServingFleet fleet(make_replicas(2, e.bundle_a));
   RolloutConfig rollout;
   rollout.canary = 1;
-  ASSERT_TRUE(fleet.start_rollout(kRolloutGood, rollout).ok);
-  EXPECT_THROW(fleet.start_rollout(kRolloutGood, rollout), Error);
-  std::remove(kRolloutGood);
+  ASSERT_TRUE(fleet.start_rollout(good, rollout).ok);
+  EXPECT_THROW(fleet.start_rollout(good, rollout), Error);
 }
 
 // ----------------------------------------------------------- fleet chaos ---

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 #include <sstream>
 
@@ -15,6 +14,7 @@
 #include "ml/mlp.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/serialize.hpp"
+#include "temp_dir.hpp"
 
 namespace alba {
 namespace {
@@ -265,11 +265,11 @@ TEST(Serialize, FileRoundTrip) {
   cfg.n_estimators = 5;
   RandomForest rf(cfg, 1);
   rf.fit(blobs.x, blobs.y);
-  const std::string path = "/tmp/alba_model_test.bin";
+  const ScopedTempDir dir;
+  const std::string path = dir.file("model.bin");
   save_classifier_file(path, rf);
   auto restored = load_classifier_file(path);
   EXPECT_EQ(restored->predict(blobs.x), rf.predict(blobs.x));
-  std::remove(path.c_str());
   EXPECT_THROW(load_classifier_file("/nonexistent/model.bin"), Error);
 }
 

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <future>
 #include <mutex>
 #include <sstream>
@@ -21,6 +20,7 @@
 #include "serving/model_bundle.hpp"
 #include "serving/service_host.hpp"
 #include "telemetry/run_generator.hpp"
+#include "temp_dir.hpp"
 
 namespace alba {
 namespace {
@@ -468,8 +468,9 @@ TEST(ServiceHost, ReloadSwapsGenerationAndInvalidatesCachedAnswers) {
 
 TEST(ServiceHost, PoisonedBundleReloadRollsBack) {
   const HostEnv& e = env();
-  const std::string good_path = "/tmp/alba_host_reload_good.bin";
-  const std::string bad_path = "/tmp/alba_host_reload_bad.bin";
+  const ScopedTempDir dir;
+  const std::string good_path = dir.file("reload_good.bin");
+  const std::string bad_path = dir.file("reload_bad.bin");
   save_model_bundle_file(good_path, bundle_from_bytes(e.bundle_b));
 
   ServiceHost host(make_service(e.bundle_a));
@@ -505,8 +506,6 @@ TEST(ServiceHost, PoisonedBundleReloadRollsBack) {
       host.reload_from_file("/nonexistent/bundle.bin");
   EXPECT_FALSE(missing.ok);
   EXPECT_TRUE(missing.rolled_back);
-  std::remove(good_path.c_str());
-  std::remove(bad_path.c_str());
 }
 
 TEST(ServiceHost, ProbeValidationCatchesBundleProbeMismatch) {

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -23,6 +22,7 @@
 #include "serving/diagnosis_service.hpp"
 #include "serving/model_bundle.hpp"
 #include "telemetry/run_generator.hpp"
+#include "temp_dir.hpp"
 
 namespace alba {
 namespace {
@@ -172,12 +172,12 @@ INSTANTIATE_TEST_SUITE_P(Models, BundleRoundTrip,
 
 TEST(ModelBundle, FileRoundTrip) {
   const ServingEnv& e = env();
-  const std::string path = "/tmp/alba_bundle_test.bin";
+  const ScopedTempDir dir;
+  const std::string path = dir.file("bundle.bin");
   export_model_bundle(path, e.data, e.prepared, *e.model);
   const ModelBundle restored = load_model_bundle_file(path);
   expect_bit_identical(restored.model->predict_proba(e.prepared.test_x),
                        e.model->predict_proba(e.prepared.test_x));
-  std::remove(path.c_str());
   EXPECT_THROW(load_model_bundle_file("/nonexistent/bundle.bin"), Error);
 }
 
@@ -704,14 +704,14 @@ TEST(ServingStats, CsvLabelsWithCommasSurviveParseBack) {
   rows.emplace_back(tricky, a);
   rows.emplace_back("plain", ServingStats{});
 
-  const std::string path = "/tmp/alba_serving_stats_csv_test.csv";
+  const ScopedTempDir dir;
+  const std::string path = dir.file("serving_stats.csv");
   {
     std::ofstream out(path);
     ASSERT_TRUE(out.good());
     write_serving_stats_csv(out, rows);
   }
   const CsvTable table = read_csv(path);  // throws on ragged rows
-  std::remove(path.c_str());
 
   ASSERT_EQ(table.rows.size(), 2u);
   EXPECT_EQ(table.rows[0].size(), table.header.size());
@@ -813,14 +813,14 @@ TEST(ServingStats, FleetCsvParseBackIncludesAggregateRow) {
   replicas.emplace_back("replica=0,zone=\"a\"", a);  // comma + quote
   replicas.emplace_back("replica=1", b);
 
-  const std::string path = "/tmp/alba_fleet_stats_csv_test.csv";
+  const ScopedTempDir dir;
+  const std::string path = dir.file("fleet_stats.csv");
   {
     std::ofstream out(path);
     ASSERT_TRUE(out.good());
     write_fleet_serving_csv(out, replicas);
   }
   const CsvTable table = read_csv(path);  // throws on ragged rows
-  std::remove(path.c_str());
 
   ASSERT_EQ(table.rows.size(), 3u);  // 2 replicas + the fleet roll-up
   EXPECT_EQ(table.rows[0][table.column_index("label")],
@@ -841,7 +841,8 @@ TEST(ServingStats, FleetCsvParseBackIncludesAggregateRow) {
 
 TEST(ModelBundle, SaveIsAtomicViaTempFileRename) {
   const ServingEnv& e = env();
-  const std::string path = "/tmp/alba_bundle_atomic_test.bin";
+  const ScopedTempDir dir;
+  const std::string path = dir.file("bundle.bin");
   export_model_bundle(path, e.data, e.prepared, *e.model);
   // The temp file must be gone after a successful save...
   std::ifstream tmp(path + ".tmp", std::ios::binary);
@@ -850,7 +851,6 @@ TEST(ModelBundle, SaveIsAtomicViaTempFileRename) {
   const ModelBundle restored = load_model_bundle_file(path);
   expect_bit_identical(restored.model->predict_proba(e.prepared.test_x),
                        e.model->predict_proba(e.prepared.test_x));
-  std::remove(path.c_str());
 }
 
 TEST(ModelBundle, SaveFailureCarriesErrno) {

@@ -1,22 +1,27 @@
 // Tests for the streaming front end and the unified Diagnoser interface:
-// P² sketch accuracy, incremental-vs-batch feature parity (bit-identity
-// for mean/var/min/max, the documented delta gate for sketch quantiles)
-// across clean / NaN-cell / gapped / out-of-order / fault-injected
-// replays, the late_dropped ring-immutability regression, and streamed
-// windows flowing through all three serving tiers behind one Diagnoser.
+// every triggered window's raw matrix is compared bit for bit against the
+// matrix its feed implies (delivered rows at their seq, NaN rows where
+// nothing arrived) across clean / NaN-cell / gapped / out-of-order /
+// fault-injected replays; gap policies, duplicates, resets and the
+// late_dropped ring-immutability regression; and streamed windows flowing
+// through all three serving tiers behind one Diagnoser.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -25,7 +30,6 @@
 #include "ml/grid_search.hpp"
 #include "serving/fleet.hpp"
 #include "serving/model_bundle.hpp"
-#include "stats/descriptive.hpp"
 #include "streaming/ingest.hpp"
 #include "telemetry/faults.hpp"
 #include "telemetry/run_generator.hpp"
@@ -34,7 +38,6 @@ namespace alba {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-constexpr std::size_t kF = kStreamFeaturesPerMetric;
 
 MetricRegistry test_registry() {
   RegistryConfig cfg;
@@ -74,114 +77,60 @@ std::vector<std::vector<double>> make_rows(const MetricRegistry& registry,
   return rows;
 }
 
-// Incremental-vs-batch parity for one emitted window: bit-identity for
-// mean/var/min/max always; quantiles bit-identical while the processed
-// column fits the exact buffer, the kQuantileDeltaGate contract beyond.
-void expect_window_parity(const TriggeredWindow& w,
-                          const MetricRegistry& registry,
-                          const PreprocessConfig& preprocess) {
-  const std::vector<double> batch =
-      StreamIngestor::batch_features(w.raw, registry, preprocess);
-  ASSERT_EQ(w.features.size(), batch.size());
-  // The processed column a window folds: kept rows minus the one sample
-  // the rate/drop-first alignment consumes.
-  const std::size_t processed_len =
-      w.raw.rows() - static_cast<std::size_t>(preprocess.trim_head) -
-      static_cast<std::size_t>(preprocess.trim_tail) - 1;
-  const bool exact_quantiles = processed_len <= kQuantileExactCap;
-  for (std::size_t m = 0; m < registry.size(); ++m) {
-    for (std::size_t f = 0; f < 4; ++f) {
-      const std::size_t i = m * kF + f;
-      EXPECT_EQ(w.features[i], batch[i])
-          << "metric " << m << " " << stream_feature_suffixes()[f]
-          << " (window " << w.start_seq << ")";
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+bool same_raw(const TriggeredWindow& a, const TriggeredWindow& b) {
+  return a.start_seq == b.start_seq && a.raw.rows() == b.raw.rows() &&
+         a.raw.cols() == b.raw.cols() &&
+         std::memcmp(a.raw.data(), b.raw.data(),
+                     a.raw.rows() * a.raw.cols() * sizeof(double)) == 0;
+}
+
+// One node's feed into an ingestor. It records the first value delivered
+// at each seq (the ingestor keeps the first too) and checks every window
+// the moment it triggers: the raw matrix must equal, bit for bit, the
+// delivered rows at their seq with NaN rows where nothing arrived, and
+// missing_rows must count those NaN rows. Checking at trigger time keeps
+// rows that arrive after a window emitted out of its expectation.
+struct Feed {
+  explicit Feed(StreamIngestor& ingestor, int node = 0)
+      : ingestor(ingestor), node(node) {}
+
+  StreamIngestor& ingestor;
+  int node;
+  std::map<std::uint64_t, std::vector<double>> delivered;
+  std::vector<TriggeredWindow> windows;
+
+  void push(std::uint64_t seq, std::span<const double> row) {
+    delivered.try_emplace(seq, row.begin(), row.end());
+    for (TriggeredWindow& w : ingestor.push(node, seq, row)) {
+      expect_matches_feed(w);
+      windows.push_back(std::move(w));
     }
-    const double range = batch[m * kF + 3] - batch[m * kF + 2];
-    const double tol = kQuantileDeltaGate * range + 1e-9;
-    for (std::size_t f = 4; f < kF; ++f) {
-      const std::size_t i = m * kF + f;
-      if (exact_quantiles) {
-        EXPECT_EQ(w.features[i], batch[i])
-            << "metric " << m << " " << stream_feature_suffixes()[f]
-            << " (window " << w.start_seq << ")";
-      } else {
-        EXPECT_NEAR(w.features[i], batch[i], tol)
-            << "metric " << m << " " << stream_feature_suffixes()[f]
-            << " (window " << w.start_seq << ")";
+  }
+
+  void replay(const std::vector<std::vector<double>>& rows,
+              std::uint64_t first_seq = 0) {
+    for (std::size_t t = 0; t < rows.size(); ++t) push(first_seq + t, rows[t]);
+  }
+
+  void expect_matches_feed(const TriggeredWindow& w) const {
+    EXPECT_EQ(w.node, node);
+    ASSERT_EQ(w.raw.rows(), ingestor.config().window_length);
+    ASSERT_EQ(w.raw.cols(), ingestor.registry().size());
+    std::size_t undelivered = 0;
+    for (std::size_t i = 0; i < w.raw.rows(); ++i) {
+      const auto it = delivered.find(w.start_seq + i);
+      if (it == delivered.end()) ++undelivered;
+      for (std::size_t m = 0; m < w.raw.cols(); ++m) {
+        const double want = it == delivered.end() ? kNaN : it->second[m];
+        EXPECT_EQ(bits(w.raw(i, m)), bits(want))
+            << "window " << w.start_seq << " row " << i << " metric " << m;
       }
     }
+    EXPECT_EQ(w.missing_rows, undelivered) << "window " << w.start_seq;
   }
-}
-
-std::vector<TriggeredWindow> replay(
-    StreamIngestor& ingestor, int node,
-    const std::vector<std::vector<double>>& rows,
-    std::uint64_t first_seq = 0) {
-  std::vector<TriggeredWindow> out;
-  for (std::size_t t = 0; t < rows.size(); ++t) {
-    for (TriggeredWindow& w : ingestor.push(node, first_seq + t, rows[t])) {
-      out.push_back(std::move(w));
-    }
-  }
-  return out;
-}
-
-// ------------------------------------------------------- stream features ---
-
-TEST(StreamFeatures, P2IsExactUpToFiveSamples) {
-  const std::vector<double> samples = {3.0, -1.0, 7.5, 2.0, 4.25};
-  for (const double q : kStreamQuantiles) {
-    P2Quantile sketch(q);
-    for (std::size_t n = 0; n < samples.size(); ++n) {
-      sketch.add(samples[n]);
-      const std::span<const double> seen(samples.data(), n + 1);
-      EXPECT_EQ(sketch.value(), stats::quantile(seen, q))
-          << "q=" << q << " n=" << n + 1;
-    }
-  }
-}
-
-TEST(StreamFeatures, P2StaysInsideTheDeltaGateOnWindowSizedData) {
-  Rng rng(42);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> x(48);
-    for (double& v : x) {
-      v = trial % 2 == 0 ? rng.normal() : rng.uniform(-3.0, 11.0);
-    }
-    const double range = *std::max_element(x.begin(), x.end()) -
-                         *std::min_element(x.begin(), x.end());
-    for (const double q : kStreamQuantiles) {
-      P2Quantile sketch(q);
-      for (const double v : x) sketch.add(v);
-      EXPECT_NEAR(sketch.value(), stats::quantile(x, q),
-                  kQuantileDeltaGate * range + 1e-9)
-          << "q=" << q << " trial=" << trial;
-    }
-  }
-}
-
-TEST(StreamFeatures, BatchReferenceMatchesDescriptiveStats) {
-  Rng rng(7);
-  std::vector<double> x(37);
-  for (double& v : x) v = rng.uniform(-5.0, 5.0);
-  std::vector<double> out(kF);
-  stream_features_batch(x, out);
-  EXPECT_NEAR(out[0], stats::mean(x), 1e-12);
-  EXPECT_EQ(out[2], *std::min_element(x.begin(), x.end()));
-  EXPECT_EQ(out[3], *std::max_element(x.begin(), x.end()));
-  for (std::size_t i = 0; i < kStreamQuantiles.size(); ++i) {
-    EXPECT_EQ(out[4 + i], stats::quantile(x, kStreamQuantiles[i]));
-  }
-}
-
-TEST(StreamFeatures, NamesAreMetricMajor) {
-  const MetricRegistry registry = test_registry();
-  const std::vector<std::string> names = stream_feature_names(registry);
-  ASSERT_EQ(names.size(), registry.size() * kF);
-  EXPECT_EQ(names[0], registry.metric(0).name + "_mean");
-  EXPECT_EQ(names[kF - 1], registry.metric(0).name + "_p95");
-  EXPECT_EQ(names[kF], registry.metric(1).name + "_mean");
-}
+};
 
 // --------------------------------------------------------- clean replays ---
 
@@ -192,23 +141,20 @@ TEST(StreamIngest, CleanReplayTriggersSlidingWindowsWithParity) {
   cfg.stride = 24;
   StreamIngestor ingestor(registry, cfg);
 
-  const auto rows = make_rows(registry, 200, 11);
-  const auto windows = replay(ingestor, 0, rows);
+  Feed feed{ingestor};
+  feed.replay(make_rows(registry, 200, 11));
 
   // Starts 0, 24, ..., 144: the last window fitting 200 rows.
-  ASSERT_EQ(windows.size(), 7u);
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    EXPECT_EQ(windows[i].start_seq, 24u * i);
-    EXPECT_EQ(windows[i].raw.rows(), cfg.window_length);
-    EXPECT_EQ(windows[i].raw.cols(), registry.size());
-    EXPECT_EQ(windows[i].missing_rows, 0u);
-    EXPECT_FALSE(windows[i].recomputed);
-    expect_window_parity(windows[i], registry, cfg.preprocess);
+  ASSERT_EQ(feed.windows.size(), 7u);
+  for (std::size_t i = 0; i < feed.windows.size(); ++i) {
+    EXPECT_EQ(feed.windows[i].start_seq, 24u * i);
+    EXPECT_EQ(feed.windows[i].missing_rows, 0u);
   }
 
   const IngestStats s = ingestor.stats(0);
   EXPECT_EQ(s.accepted, 200u);
   EXPECT_EQ(s.windows_emitted, 7u);
+  EXPECT_EQ(s.windows_recomputed, 0u);
   EXPECT_EQ(s.reordered + s.duplicates + s.late_dropped + s.missing_rows, 0u);
   EXPECT_EQ(ingestor.windows_in_flight(0), 2u);  // starts 168 and 192
   ingestor.flush();
@@ -216,6 +162,7 @@ TEST(StreamIngest, CleanReplayTriggersSlidingWindowsWithParity) {
   EXPECT_EQ(ingestor.windows_in_flight(0), 0u);
 }
 
+// Pins the Feed expectation itself against the rows, independently.
 TEST(StreamIngest, WindowRawIsTheDeliveredRows) {
   const MetricRegistry registry = test_registry();
   StreamIngestConfig cfg;
@@ -223,43 +170,39 @@ TEST(StreamIngest, WindowRawIsTheDeliveredRows) {
   cfg.stride = 16;
   StreamIngestor ingestor(registry, cfg);
   const auto rows = make_rows(registry, 16, 3);
-  const auto windows = replay(ingestor, 4, rows);
-  ASSERT_EQ(windows.size(), 1u);
+  Feed feed{ingestor, 4};
+  feed.replay(rows);
+  ASSERT_EQ(feed.windows.size(), 1u);
   for (std::size_t t = 0; t < rows.size(); ++t) {
     for (std::size_t m = 0; m < registry.size(); ++m) {
-      EXPECT_EQ(windows[0].raw(t, m), rows[t][m]);
+      EXPECT_EQ(feed.windows[0].raw(t, m), rows[t][m]);
     }
   }
-  EXPECT_EQ(windows[0].node, 4);
+  EXPECT_EQ(feed.windows[0].node, 4);
 }
 
+// NaN cells in delivered rows reach the raw window bit for bit, for the
+// serving pipeline's batch interpolation to resolve; they never count as
+// missing rows.
 TEST(StreamIngest, NaNCellsResolveBitIdenticallyToBatchInterpolation) {
   const MetricRegistry registry = test_registry();
   StreamIngestConfig cfg;
   cfg.window_length = 48;
   cfg.stride = 24;
   StreamIngestor ingestor(registry, cfg);
-  const auto rows = make_rows(registry, 160, 23, /*nan_cell_rate=*/0.15);
-  const auto windows = replay(ingestor, 0, rows);
-  ASSERT_GE(windows.size(), 4u);
-  for (const TriggeredWindow& w : windows) {
-    EXPECT_FALSE(w.recomputed);  // in-order NaNs never dirty the fold
-    expect_window_parity(w, registry, cfg.preprocess);
+  Feed feed{ingestor};
+  feed.replay(make_rows(registry, 160, 23, /*nan_cell_rate=*/0.15));
+  ASSERT_GE(feed.windows.size(), 4u);
+  std::size_t nan_cells = 0;
+  for (const TriggeredWindow& w : feed.windows) {
+    EXPECT_EQ(w.missing_rows, 0u);
+    for (std::size_t i = 0; i < w.raw.rows(); ++i) {
+      for (std::size_t m = 0; m < w.raw.cols(); ++m) {
+        nan_cells += std::isnan(w.raw(i, m)) ? 1 : 0;
+      }
+    }
   }
-}
-
-TEST(StreamIngest, WindowsPastTheExactCapUseTheSketchWithinTheGate) {
-  const MetricRegistry registry = test_registry();
-  StreamIngestConfig cfg;
-  cfg.window_length = 160;  // processed column 148 > kQuantileExactCap
-  cfg.stride = 160;
-  StreamIngestor ingestor(registry, cfg);
-  const auto rows = make_rows(registry, 160, 13);
-  const auto windows = replay(ingestor, 0, rows);
-  ASSERT_EQ(windows.size(), 1u);
-  // expect_window_parity switches to the delta gate past the cap;
-  // mean/var/min/max stay bit-identical regardless.
-  expect_window_parity(windows[0], registry, cfg.preprocess);
+  EXPECT_GT(nan_cells, 0u);
 }
 
 // ------------------------------------------------------ gaps and repairs ---
@@ -273,15 +216,13 @@ TEST(StreamIngest, UndeliveredRowsEmitAsNaNUnderRepairPolicy) {
   StreamIngestor ingestor(registry, cfg);
   const auto rows = make_rows(registry, 96, 31);
 
-  std::vector<TriggeredWindow> windows;
+  Feed feed{ingestor};
   for (std::size_t t = 0; t < rows.size(); ++t) {
     if (t % 13 == 7) continue;  // drop ~7% of rows outright
-    for (TriggeredWindow& w : ingestor.push(0, t, rows[t])) {
-      windows.push_back(std::move(w));
-    }
+    feed.push(t, rows[t]);
   }
-  ASSERT_EQ(windows.size(), 2u);
-  for (const TriggeredWindow& w : windows) {
+  ASSERT_EQ(feed.windows.size(), 2u);
+  for (const TriggeredWindow& w : feed.windows) {
     EXPECT_GT(w.missing_rows, 0u);
     EXPECT_LE(w.missing_rows, cfg.max_missing);
     bool saw_nan_row = false;
@@ -289,8 +230,6 @@ TEST(StreamIngest, UndeliveredRowsEmitAsNaNUnderRepairPolicy) {
       saw_nan_row = std::isnan(w.raw(t, 0));
     }
     EXPECT_TRUE(saw_nan_row);
-    EXPECT_FALSE(w.recomputed);
-    expect_window_parity(w, registry, cfg.preprocess);
   }
   EXPECT_GT(ingestor.stats(0).missing_rows, 0u);
 }
@@ -304,16 +243,14 @@ TEST(StreamIngest, StrictPolicyDropsIncompleteWindows) {
   StreamIngestor ingestor(registry, cfg);
   const auto rows = make_rows(registry, 48, 5);
 
-  std::vector<TriggeredWindow> windows;
+  Feed feed{ingestor};
   for (std::size_t t = 0; t < rows.size(); ++t) {
     if (t == 20) continue;  // one hole, inside the second window
-    for (TriggeredWindow& w : ingestor.push(0, t, rows[t])) {
-      windows.push_back(std::move(w));
-    }
+    feed.push(t, rows[t]);
   }
-  ASSERT_EQ(windows.size(), 2u);  // windows 0 and 32 emit; 16 is dropped
-  EXPECT_EQ(windows[0].start_seq, 0u);
-  EXPECT_EQ(windows[1].start_seq, 32u);
+  ASSERT_EQ(feed.windows.size(), 2u);  // windows 0 and 32 emit; 16 dropped
+  EXPECT_EQ(feed.windows[0].start_seq, 0u);
+  EXPECT_EQ(feed.windows[1].start_seq, 32u);
   EXPECT_EQ(ingestor.stats(0).windows_dropped, 1u);
 }
 
@@ -326,15 +263,13 @@ TEST(StreamIngest, RepairPolicyDropsWindowsPastMaxMissing) {
   StreamIngestor ingestor(registry, cfg);
   const auto rows = make_rows(registry, 32, 5);
 
-  std::vector<TriggeredWindow> windows;
+  Feed feed{ingestor};
   for (std::size_t t = 0; t < rows.size(); ++t) {
     if (t >= 18 && t < 22) continue;  // 4 missing rows > max_missing
-    for (TriggeredWindow& w : ingestor.push(0, t, rows[t])) {
-      windows.push_back(std::move(w));
-    }
+    feed.push(t, rows[t]);
   }
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_EQ(windows[0].start_seq, 0u);
+  ASSERT_EQ(feed.windows.size(), 1u);
+  EXPECT_EQ(feed.windows[0].start_seq, 0u);
   EXPECT_EQ(ingestor.stats(0).windows_dropped, 1u);
 }
 
@@ -346,39 +281,27 @@ TEST(StreamIngest, GapFillAheadOfTheAnchorRepairsExactly) {
   StreamIngestor ingestor(registry, cfg);
   const auto rows = make_rows(registry, 48, 17);
 
-  // Row 20 goes missing while rows 21-22 arrive as all-NaN rows: the
-  // watermark moves past 20 but no finite value lands after it, so the
-  // fold's NaN run 20-22 is still unresolved when 20 shows up late — the
-  // repair resolves it in place and stays exact. No batch fallback.
+  // Row 20 goes missing while rows 21-22 arrive as all-NaN rows, then 20
+  // shows up late: the repair lands in the ring, and 21-22 stay delivered
+  // NaN rows rather than undelivered ones.
   const std::vector<double> nan_row(registry.size(), kNaN);
-  std::vector<TriggeredWindow> windows;
+  Feed feed{ingestor};
   for (std::size_t t = 0; t < rows.size(); ++t) {
     if (t == 20) continue;
-    const std::span<const double> row =
-        (t == 21 || t == 22) ? std::span<const double>(nan_row)
-                             : std::span<const double>(rows[t]);
-    if (t == 23) {
-      for (TriggeredWindow& w : ingestor.push(0, 20, rows[20])) {
-        windows.push_back(std::move(w));
-      }
-    }
-    for (TriggeredWindow& w : ingestor.push(0, t, row)) {
-      windows.push_back(std::move(w));
-    }
+    if (t == 23) feed.push(20, rows[20]);
+    feed.push(t, (t == 21 || t == 22) ? std::span<const double>(nan_row)
+                                      : std::span<const double>(rows[t]));
   }
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_FALSE(windows[0].recomputed);
-  EXPECT_EQ(windows[0].missing_rows, 0u);  // 20 repaired; 21-22 delivered
-  EXPECT_EQ(windows[0].raw(20, 0), rows[20][0]);
-  EXPECT_TRUE(std::isnan(windows[0].raw(21, 0)));
-  expect_window_parity(windows[0], registry, cfg.preprocess);
+  ASSERT_EQ(feed.windows.size(), 1u);
+  EXPECT_EQ(feed.windows[0].missing_rows, 0u);  // 20 repaired; 21-22 came
+  EXPECT_EQ(feed.windows[0].raw(20, 0), rows[20][0]);
+  EXPECT_TRUE(std::isnan(feed.windows[0].raw(21, 0)));
   const IngestStats s = ingestor.stats(0);
   EXPECT_EQ(s.reordered, 1u);
-  EXPECT_EQ(s.windows_recomputed, 0u);
   EXPECT_EQ(s.missing_rows, 0u);  // net: marked missing, then repaired
 }
 
-TEST(StreamIngest, RepairBehindTheFoldFallsBackToBatchRecompute) {
+TEST(StreamIngest, ReorderedRepairLandsInRaw) {
   const MetricRegistry registry = test_registry();
   StreamIngestConfig cfg;
   cfg.window_length = 48;
@@ -386,33 +309,26 @@ TEST(StreamIngest, RepairBehindTheFoldFallsBackToBatchRecompute) {
   StreamIngestor ingestor(registry, cfg);
   const auto rows = make_rows(registry, 48, 19);
 
-  // Row 20 goes missing, rows 21.. are delivered (the fold resolves past
-  // 20 the moment 21 arrives), THEN 20 shows up: the fold cannot rewind,
-  // so the window is recomputed from the assembled raw — and the late
-  // value is in it.
-  std::vector<TriggeredWindow> windows;
+  // Row 20 goes missing, rows 21-24 are delivered, THEN 20 shows up: the
+  // emitted window carries the late value in place, not a NaN row.
+  Feed feed{ingestor};
   for (std::size_t t = 0; t < rows.size(); ++t) {
     if (t == 20) continue;
-    if (t == 25) {
-      for (TriggeredWindow& w : ingestor.push(0, 20, rows[20])) {
-        windows.push_back(std::move(w));
-      }
-    }
-    for (TriggeredWindow& w : ingestor.push(0, t, rows[t])) {
-      windows.push_back(std::move(w));
-    }
+    if (t == 25) feed.push(20, rows[20]);
+    feed.push(t, rows[t]);
   }
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_TRUE(windows[0].recomputed);
-  EXPECT_EQ(windows[0].missing_rows, 0u);
-  EXPECT_EQ(windows[0].raw(20, 0), rows[20][0]);
-  expect_window_parity(windows[0], registry, cfg.preprocess);
+  ASSERT_EQ(feed.windows.size(), 1u);
+  EXPECT_EQ(feed.windows[0].missing_rows, 0u);
+  for (std::size_t m = 0; m < registry.size(); ++m) {
+    EXPECT_EQ(bits(feed.windows[0].raw(20, m)), bits(rows[20][m]));
+  }
   const IngestStats s = ingestor.stats(0);
   EXPECT_EQ(s.reordered, 1u);
-  EXPECT_EQ(s.windows_recomputed, 1u);
+  EXPECT_EQ(s.missing_rows, 0u);
+  EXPECT_EQ(s.windows_recomputed, 0u);
 }
 
-TEST(StreamIngest, BoundedSkewReplayStaysCorrectViaRecompute) {
+TEST(StreamIngest, BoundedSkewReplayMatchesTheFeed) {
   const MetricRegistry registry = test_registry();
   StreamIngestConfig cfg;
   cfg.window_length = 48;
@@ -421,38 +337,30 @@ TEST(StreamIngest, BoundedSkewReplayStaysCorrectViaRecompute) {
   const auto rows = make_rows(registry, 144, 29);
 
   // Swap every 6th adjacent pair (offset so no swap touches the stream
-  // head or a window's last row): a dense out-of-order trace. Every swap
-  // lands behind an already-resolved fold position, so affected windows
-  // take the batch fallback — parity must hold regardless.
+  // head or a window's last row): a dense out-of-order trace in which
+  // every swapped-back row is a repair that must land in its windows.
   std::vector<std::size_t> order(rows.size());
   for (std::size_t t = 0; t < rows.size(); ++t) order[t] = t;
   for (std::size_t t = 2; t + 1 < order.size(); t += 6) {
     std::swap(order[t], order[t + 1]);
   }
-  std::vector<TriggeredWindow> windows;
-  for (const std::size_t t : order) {
-    for (TriggeredWindow& w : ingestor.push(0, t, rows[t])) {
-      windows.push_back(std::move(w));
-    }
-  }
-  ASSERT_GE(windows.size(), 4u);
-  for (const TriggeredWindow& w : windows) {
+  Feed feed{ingestor};
+  for (const std::size_t t : order) feed.push(t, rows[t]);
+  ASSERT_GE(feed.windows.size(), 4u);
+  for (const TriggeredWindow& w : feed.windows) {
     EXPECT_EQ(w.missing_rows, 0u);
-    expect_window_parity(w, registry, cfg.preprocess);
   }
   const IngestStats s = ingestor.stats(0);
   EXPECT_GT(s.reordered, 0u);
-  EXPECT_GT(s.windows_recomputed, 0u);
   EXPECT_EQ(s.late_dropped, 0u);
   EXPECT_EQ(s.missing_rows, 0u);
 }
 
 // ------------------------------------------- late arrivals + duplicates ---
 
-// The regression this PR fixes: a sample landing inside an already-emitted
-// window must be counted late_dropped and must NOT be written into the
-// ring, where a future window mapping onto the same slot would read it as
-// a delivered row.
+// A sample landing inside an already-emitted window must be counted
+// late_dropped and must NOT be written into the ring, where a future
+// window mapping onto the same slot would read it as a delivered row.
 TEST(StreamIngest, LateArrivalInsideEmittedWindowIsDroppedNotWritten) {
   const MetricRegistry registry = test_registry();
   StreamIngestConfig cfg;
@@ -462,13 +370,9 @@ TEST(StreamIngest, LateArrivalInsideEmittedWindowIsDroppedNotWritten) {
   StreamIngestor ingestor(registry, cfg);
   const auto rows = make_rows(registry, 48, 37);
 
-  std::vector<TriggeredWindow> windows;
-  for (std::size_t t = 0; t < 16; ++t) {
-    for (TriggeredWindow& w : ingestor.push(0, t, rows[t])) {
-      windows.push_back(std::move(w));
-    }
-  }
-  ASSERT_EQ(windows.size(), 1u);  // window [0, 16) emitted
+  Feed feed{ingestor};
+  for (std::size_t t = 0; t < 16; ++t) feed.push(t, rows[t]);
+  ASSERT_EQ(feed.windows.size(), 1u);  // window [0, 16) emitted
 
   // Row 7 re-arrives late. Ring capacity is window_length + stride = 32,
   // so seq 39 of the third window maps onto the same ring slot as seq 7:
@@ -483,17 +387,14 @@ TEST(StreamIngest, LateArrivalInsideEmittedWindowIsDroppedNotWritten) {
 
   for (std::size_t t = 16; t < 48; ++t) {
     if (t == 39) continue;  // never delivered
-    for (TriggeredWindow& w : ingestor.push(0, t, rows[t])) {
-      windows.push_back(std::move(w));
-    }
+    feed.push(t, rows[t]);
   }
-  ASSERT_EQ(windows.size(), 3u);
-  const TriggeredWindow& third = windows[2];
+  ASSERT_EQ(feed.windows.size(), 3u);
+  const TriggeredWindow& third = feed.windows[2];
   EXPECT_EQ(third.start_seq, 32u);
   EXPECT_EQ(third.missing_rows, 1u);
   // Row 39 (slot shared with the dropped late row 7) must be NaN, not 1e9.
   EXPECT_TRUE(std::isnan(third.raw(7, 0)));
-  expect_window_parity(third, registry, cfg.preprocess);
 }
 
 TEST(StreamIngest, DuplicateRowsKeepTheFirstValue) {
@@ -504,20 +405,17 @@ TEST(StreamIngest, DuplicateRowsKeepTheFirstValue) {
   StreamIngestor ingestor(registry, cfg);
   const auto rows = make_rows(registry, 16, 41);
 
-  std::vector<TriggeredWindow> windows;
+  Feed feed{ingestor};
   std::vector<double> poison(registry.size(), -777.0);
   for (std::size_t t = 0; t < rows.size(); ++t) {
-    for (TriggeredWindow& w : ingestor.push(0, t, rows[t])) {
-      windows.push_back(std::move(w));
-    }
+    feed.push(t, rows[t]);
     if (t == 5) {
       EXPECT_TRUE(ingestor.push(0, 5, poison).empty());
     }
   }
-  ASSERT_EQ(windows.size(), 1u);
+  ASSERT_EQ(feed.windows.size(), 1u);
   EXPECT_EQ(ingestor.stats(0).duplicates, 1u);
-  EXPECT_EQ(windows[0].raw(5, 0), rows[5][0]);  // first delivery won
-  expect_window_parity(windows[0], registry, cfg.preprocess);
+  EXPECT_EQ(feed.windows[0].raw(5, 0), rows[5][0]);  // first delivery won
 }
 
 TEST(StreamIngest, ForwardJumpPastTheRingResetsAndRecovers) {
@@ -528,26 +426,17 @@ TEST(StreamIngest, ForwardJumpPastTheRingResetsAndRecovers) {
   StreamIngestor ingestor(registry, cfg);
   const auto rows = make_rows(registry, 48, 43);
 
-  std::vector<TriggeredWindow> windows;
-  for (std::size_t t = 0; t < 24; ++t) {
-    for (TriggeredWindow& w : ingestor.push(0, t, rows[t])) {
-      windows.push_back(std::move(w));
-    }
-  }
-  ASSERT_EQ(windows.size(), 1u);
+  Feed feed{ingestor};
+  for (std::size_t t = 0; t < 24; ++t) feed.push(t, rows[t]);
+  ASSERT_EQ(feed.windows.size(), 1u);
   EXPECT_EQ(ingestor.windows_in_flight(0), 1u);
 
   // A collector restart: the sequence jumps far past the ring. In-flight
   // windows are dropped; streaming re-anchors at the new sequence.
-  for (std::size_t t = 0; t < 16; ++t) {
-    for (TriggeredWindow& w : ingestor.push(0, 5000 + t, rows[24 + t])) {
-      windows.push_back(std::move(w));
-    }
-  }
-  ASSERT_EQ(windows.size(), 2u);
-  EXPECT_EQ(windows[1].start_seq, 5000u);
-  EXPECT_EQ(windows[1].missing_rows, 0u);
-  expect_window_parity(windows[1], registry, cfg.preprocess);
+  for (std::size_t t = 0; t < 16; ++t) feed.push(5000 + t, rows[24 + t]);
+  ASSERT_EQ(feed.windows.size(), 2u);
+  EXPECT_EQ(feed.windows[1].start_seq, 5000u);
+  EXPECT_EQ(feed.windows[1].missing_rows, 0u);
   const IngestStats s = ingestor.stats(0);
   EXPECT_EQ(s.resets, 1u);
   EXPECT_EQ(s.windows_dropped, 1u);
@@ -585,13 +474,11 @@ TEST(StreamIngest, FaultInjectedReplayKeepsParity) {
       injector.apply(sample.series, generator.registry(), rng);
 
       StreamIngestor ingestor(generator.registry(), cfg);
+      Feed feed{ingestor, sample.node_index};
       for (std::size_t t = 0; t < sample.series.rows(); ++t) {
-        for (const TriggeredWindow& w :
-             ingestor.push(sample.node_index, t, sample.series.row(t))) {
-          expect_window_parity(w, generator.registry(), cfg.preprocess);
-          ++windows_checked;
-        }
+        feed.push(t, sample.series.row(t));
       }
+      windows_checked += feed.windows.size();
     }
   }
   EXPECT_GE(windows_checked, 10u);
@@ -608,28 +495,24 @@ TEST(StreamIngest, NodesAreIndependentOfInterleaving) {
 
   StreamIngestor solo_a(registry, cfg);
   StreamIngestor solo_b(registry, cfg);
-  const auto windows_a = replay(solo_a, 1, rows_a);
-  const auto windows_b = replay(solo_b, 2, rows_b);
+  Feed feed_a{solo_a, 1};
+  Feed feed_b{solo_b, 2};
+  feed_a.replay(rows_a);
+  feed_b.replay(rows_b);
 
   StreamIngestor mixed(registry, cfg);
-  std::vector<TriggeredWindow> windows_1;
-  std::vector<TriggeredWindow> windows_2;
+  Feed mixed_1{mixed, 1};
+  Feed mixed_2{mixed, 2};
   for (std::size_t t = 0; t < rows_a.size(); ++t) {
-    for (TriggeredWindow& w : mixed.push(1, t, rows_a[t])) {
-      windows_1.push_back(std::move(w));
-    }
-    for (TriggeredWindow& w : mixed.push(2, t, rows_b[t])) {
-      windows_2.push_back(std::move(w));
-    }
+    mixed_1.push(t, rows_a[t]);
+    mixed_2.push(t, rows_b[t]);
   }
 
-  ASSERT_EQ(windows_1.size(), windows_a.size());
-  ASSERT_EQ(windows_2.size(), windows_b.size());
-  for (std::size_t i = 0; i < windows_a.size(); ++i) {
-    ASSERT_EQ(windows_1[i].features.size(), windows_a[i].features.size());
-    for (std::size_t j = 0; j < windows_a[i].features.size(); ++j) {
-      EXPECT_EQ(windows_1[i].features[j], windows_a[i].features[j]);
-    }
+  ASSERT_EQ(mixed_1.windows.size(), feed_a.windows.size());
+  ASSERT_EQ(mixed_2.windows.size(), feed_b.windows.size());
+  for (std::size_t i = 0; i < feed_a.windows.size(); ++i) {
+    EXPECT_TRUE(same_raw(mixed_1.windows[i], feed_a.windows[i])) << i;
+    EXPECT_TRUE(same_raw(mixed_2.windows[i], feed_b.windows[i])) << i;
   }
   const IngestStats total = mixed.total_stats();
   EXPECT_EQ(total.accepted,
@@ -646,10 +529,10 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-// Replays a gapped, NaN-ridden, partially out-of-order stream and hashes
-// every emitted feature bit plus the stats counters. Run directly it
-// asserts parity; run from the re-exec harness below it also prints the
-// hash for the parent to compare across ALBA_THREADS settings.
+// Replays a gapped, NaN-ridden, duplicated stream with late repairs and
+// hashes every emitted raw bit plus the stats counters. Run directly it
+// checks each window against its feed; run from the re-exec harness below
+// it also prints the hash for the parent to compare across ALBA_THREADS.
 TEST(StreamThreads, ChildReplayAndHash) {
   const MetricRegistry registry = test_registry();
   StreamIngestConfig cfg;
@@ -658,36 +541,35 @@ TEST(StreamThreads, ChildReplayAndHash) {
   StreamIngestor ingestor(registry, cfg);
   const auto rows = make_rows(registry, 240, 61, /*nan_cell_rate=*/0.05);
 
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  std::size_t emitted = 0;
+  Feed feed{ingestor};
   for (std::size_t t = 0; t < rows.size(); ++t) {
     if (t % 17 == 5) continue;  // gap
-    if (t % 29 == 11 && t > 0) {
-      (void)ingestor.push(0, t - 1, rows[t - 1]);  // duplicate
-    }
-    for (const TriggeredWindow& w : ingestor.push(0, t, rows[t])) {
-      expect_window_parity(w, registry, cfg.preprocess);
-      ++emitted;
-      for (const double f : w.features) {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &f, sizeof bits);
-        h = fnv1a(h, bits);
-      }
+    if (t % 34 == 7) feed.push(t - 2, rows[t - 2]);  // every other gap, late
+    if (t % 29 == 11) feed.push(t - 1, rows[t - 1]);  // duplicate
+    feed.push(t, rows[t]);
+  }
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const TriggeredWindow& w : feed.windows) {
+    h = fnv1a(h, w.start_seq);
+    h = fnv1a(h, w.missing_rows);
+    for (std::size_t i = 0; i < w.raw.rows(); ++i) {
+      for (const double v : w.raw.row(i)) h = fnv1a(h, bits(v));
     }
   }
   const IngestStats s = ingestor.stats(0);
-  h = fnv1a(h, s.accepted);
-  h = fnv1a(h, s.reordered);
-  h = fnv1a(h, s.duplicates);
-  h = fnv1a(h, s.missing_rows);
-  h = fnv1a(h, s.windows_recomputed);
-  EXPECT_GT(emitted, 4u);
+  for (const std::uint64_t counter :
+       {s.accepted, s.reordered, s.duplicates, s.missing_rows,
+        s.windows_emitted, s.windows_dropped}) {
+    h = fnv1a(h, counter);
+  }
+  EXPECT_GT(feed.windows.size(), 4u);
+  EXPECT_GT(s.reordered, 0u);
   std::printf("STREAM_HASH=%016llx\n", static_cast<unsigned long long>(h));
 }
 
 // Streaming is single-threaded by design, but its outputs must not depend
-// on the process-wide pool size (the batch fallback and registry setup
-// must stay off the pool): re-exec with ALBA_THREADS pinned and compare.
+// on the process-wide pool size (registry setup must stay off the pool):
+// re-exec with ALBA_THREADS pinned and compare.
 TEST(StreamThreads, FeaturesIdenticalAcrossPoolSizes) {
   char self[4096];
   const ssize_t len = readlink("/proc/self/exe", self, sizeof self - 1);
@@ -779,14 +661,12 @@ TEST(DiagnoserTiers, StreamedWindowDiagnosesIdenticallyAcrossAllTiers) {
   cfg.stride = sample.series.rows();
   cfg.preprocess = e.cfg.preprocess;
   StreamIngestor ingestor(MetricRegistry(e.cfg.system, e.cfg.registry), cfg);
-  std::vector<TriggeredWindow> windows;
+  Feed feed{ingestor};
   for (std::size_t t = 0; t < sample.series.rows(); ++t) {
-    for (TriggeredWindow& w : ingestor.push(0, t, sample.series.row(t))) {
-      windows.push_back(std::move(w));
-    }
+    feed.push(t, sample.series.row(t));
   }
-  ASSERT_EQ(windows.size(), 1u);
-  ASSERT_EQ(windows[0].features.size(), ingestor.registry().size() * kF);
+  ASSERT_EQ(feed.windows.size(), 1u);
+  const TriggeredWindow& window = feed.windows[0];
 
   auto service = tier_service(e);
   const Diagnosis reference = service->diagnose(sample.series);
@@ -796,7 +676,7 @@ TEST(DiagnoserTiers, StreamedWindowDiagnosesIdenticallyAcrossAllTiers) {
 
   const std::vector<Diagnoser*> tiers = {service.get(), &host, &fleet};
   for (Diagnoser* tier : tiers) {
-    const DiagnosisResult r = tier->diagnose(DiagnoseRequest{&windows[0].raw});
+    const DiagnosisResult r = tier->diagnose(DiagnoseRequest{&window.raw});
     ASSERT_TRUE(r.ok()) << to_string(r.status) << ": " << r.error;
     EXPECT_EQ(r.diagnosis.label, reference.label);
     EXPECT_EQ(r.generation, 1u);

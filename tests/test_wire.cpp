@@ -11,7 +11,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -28,6 +27,7 @@
 #include "wire/client.hpp"
 #include "wire/frame.hpp"
 #include "wire/transport.hpp"
+#include "temp_dir.hpp"
 
 namespace alba {
 namespace {
@@ -381,12 +381,6 @@ TEST(IngestServerLoopback, StreamsBitIdenticallyToInProcessPush) {
     const TriggeredWindow& a = served[i].window;
     const TriggeredWindow& b = reference_windows[i];
     EXPECT_EQ(a.start_seq, b.start_seq);
-    ASSERT_EQ(a.features.size(), b.features.size());
-    for (std::size_t k = 0; k < a.features.size(); ++k) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.features[k]),
-                std::bit_cast<std::uint64_t>(b.features[k]))
-          << "window " << i << " feature " << k;
-    }
     ASSERT_EQ(a.raw.rows(), b.raw.rows());
     for (std::size_t r = 0; r < a.raw.rows(); ++r) {
       for (std::size_t c = 0; c < a.raw.cols(); ++c) {
@@ -703,11 +697,9 @@ TEST(IngestStatsCsv, RoundTripsThroughRfc4180Parser) {
   a.resets = 1;
   a.windows_emitted = 12;
   a.windows_dropped = 2;
-  a.windows_recomputed = 1;
   a.windows_flushed = 3;
   a.rejected_backpressure = 7;
   a.decode_errors = 5;
-  a.emit_seconds = 0.125;
   IngestStats b;
   b.accepted = 50;
   b.rejected_backpressure = 1;
@@ -716,20 +708,20 @@ TEST(IngestStatsCsv, RoundTripsThroughRfc4180Parser) {
       {"node=0,rack=\"r1\"", a},  // comma and quotes: the escaping test
       {"node=1", b},
   };
-  const std::string path = "/tmp/alba_test_ingest_stats.csv";
+  const ScopedTempDir dir;
+  const std::string path = dir.file("ingest_stats.csv");
   {
     std::ofstream out(path);
     write_ingest_stats_csv(
         out, std::span<const std::pair<std::string, IngestStats>>(entries));
   }
   const CsvTable table = read_csv(path);
-  std::remove(path.c_str());
 
   ASSERT_EQ(table.rows.size(), 2u);
-  ASSERT_EQ(table.header.size(), 14u);
+  ASSERT_EQ(table.header.size(), 12u);
   EXPECT_EQ(table.header[0], "label");
-  EXPECT_EQ(table.header[11], "rejected_backpressure");
-  EXPECT_EQ(table.header[12], "decode_errors");
+  EXPECT_EQ(table.header[10], "rejected_backpressure");
+  EXPECT_EQ(table.header[11], "decode_errors");
   // The label with comma + quotes survives the round trip intact.
   EXPECT_EQ(table.rows[0][table.column_index("label")],
             "node=0,rack=\"r1\"");
