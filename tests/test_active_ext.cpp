@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <numeric>
@@ -424,10 +425,21 @@ RefResult reference_run(std::unique_ptr<Classifier> model,
   return result;
 }
 
+// Integers only, with no padding: gtest lists a parameter that has no
+// printer by its raw bytes, and ctest registers each case under that listing.
+// A pointer (or uninitialised padding) would change the names on every build.
 struct EquivCase {
-  const char* strategy;
-  int batch;
+  std::int64_t strategy;  // a QueryStrategy
+  std::int64_t batch;
 };
+
+constexpr EquivCase equiv(QueryStrategy strategy, std::int64_t batch) {
+  return {static_cast<std::int64_t>(strategy), batch};
+}
+
+std::string_view equiv_name(const EquivCase& c) {
+  return strategy_name(static_cast<QueryStrategy>(c.strategy));
+}
 
 class LoopEquivalenceTest : public ::testing::TestWithParam<EquivCase> {};
 
@@ -435,9 +447,9 @@ TEST_P(LoopEquivalenceTest, MatchesSerialReference) {
   const EquivCase& c = GetParam();
   const AlTask task = make_task(21);
   ActiveLearnerConfig cfg;
-  cfg.strategy = strategy_from_name(c.strategy);
+  cfg.strategy = static_cast<QueryStrategy>(c.strategy);
   cfg.max_queries = 15;
-  cfg.batch_size = c.batch;
+  cfg.batch_size = static_cast<int>(c.batch);
   cfg.committee_size = 3;
   cfg.seed = 29;
 
@@ -448,27 +460,30 @@ TEST_P(LoopEquivalenceTest, MatchesSerialReference) {
   const auto result = learner.run(task.seed, task.pool_x, oracle, {},
                                   task.test_x, task.test_y);
 
-  ASSERT_EQ(result.queried.size(), expected.queried.size()) << c.strategy;
+  ASSERT_EQ(result.queried.size(), expected.queried.size()) << equiv_name(c);
   for (std::size_t i = 0; i < expected.queried.size(); ++i) {
     EXPECT_EQ(result.queried[i].pool_index, expected.queried[i])
-        << c.strategy << " query " << i;
+        << equiv_name(c) << " query " << i;
   }
-  ASSERT_EQ(result.curve.size(), expected.f1s.size()) << c.strategy;
+  ASSERT_EQ(result.curve.size(), expected.f1s.size()) << equiv_name(c);
   for (std::size_t i = 0; i < expected.f1s.size(); ++i) {
     EXPECT_DOUBLE_EQ(result.curve[i].f1, expected.f1s[i])
-        << c.strategy << " round " << i;
+        << equiv_name(c) << " round " << i;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Strategies, LoopEquivalenceTest,
-    ::testing::Values(EquivCase{"uncertainty", 1}, EquivCase{"uncertainty", 4},
-                      EquivCase{"margin", 1}, EquivCase{"entropy", 1},
-                      EquivCase{"density_weighted", 2},
-                      EquivCase{"vote_entropy", 2},
-                      EquivCase{"consensus_kl", 1}, EquivCase{"random", 3}),
+    ::testing::Values(equiv(QueryStrategy::Uncertainty, 1),
+                      equiv(QueryStrategy::Uncertainty, 4),
+                      equiv(QueryStrategy::Margin, 1),
+                      equiv(QueryStrategy::Entropy, 1),
+                      equiv(QueryStrategy::DensityWeighted, 2),
+                      equiv(QueryStrategy::VoteEntropy, 2),
+                      equiv(QueryStrategy::ConsensusKl, 1),
+                      equiv(QueryStrategy::Random, 3)),
     [](const ::testing::TestParamInfo<EquivCase>& info) {
-      return std::string(info.param.strategy) + "_b" +
+      return std::string(equiv_name(info.param)) + "_b" +
              std::to_string(info.param.batch);
     });
 
