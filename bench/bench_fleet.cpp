@@ -39,8 +39,20 @@ using namespace alba;
 
 namespace {
 
-constexpr const char* kBundleA = "/tmp/albadross_bench_fleet_a.bin";
-constexpr const char* kBundleB = "/tmp/albadross_bench_fleet_b.bin";
+// The exported bundles, in a private directory removed at exit: two runs
+// at once never share them.
+const ScopedTempDir& bundle_dir() {
+  static const ScopedTempDir dir("albadross_bench_fleet");
+  return dir;
+}
+const std::string& bundle_a() {
+  static const std::string path = bundle_dir().file("a.bin");
+  return path;
+}
+const std::string& bundle_b() {
+  static const std::string path = bundle_dir().file("b.bin");
+  return path;
+}
 
 // A stream of per-node windows from fresh runs; every 4th window repeats
 // an earlier one (a stalled collector / dashboard re-check) so routing
@@ -84,7 +96,7 @@ std::unique_ptr<ServingFleet> make_fleet(std::size_t replicas,
     ServingConfig serving;
     if (chaos != nullptr) serving.extraction_hook = chaos->hook_for(r);
     services.push_back(std::make_shared<DiagnosisService>(
-        load_model_bundle_file(kBundleA), serving));
+        load_model_bundle_file(bundle_a()), serving));
   }
   FleetConfig config;
   config.routing = policy;
@@ -330,11 +342,11 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
   // ---- phase 3: poisoned canary push ------------------------------------
   // The poison must die on the canary's probe-validated reload; no other
   // replica may ever serve (or even load) the bad bundle.
-  const std::string bad_path = std::string(kBundleB) + ".poisoned";
+  const std::string bad_path = bundle_b() + ".poisoned";
   {
     auto fleet = make_fleet(3, RoutingPolicy::ConsistentHash, seed);
     fleet->set_probe_windows({windows[0], windows[1]});
-    write_poisoned_bundle(kBundleB, bad_path, BundlePoison::Truncate,
+    write_poisoned_bundle(bundle_b(), bad_path, BundlePoison::Truncate,
                           seed + 2);
     RolloutConfig rollout;
     rollout.canary = 1;
@@ -374,7 +386,7 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
     rollout.guard_min_samples = 4;
     rollout.max_error_rate_delta = 1.0;  // isolate the p99 trigger
     rollout.max_p99_ratio = 2.0;
-    const ReloadReport push = fleet->start_rollout(kBundleB, rollout);
+    const ReloadReport push = fleet->start_rollout(bundle_b(), rollout);
     check(push.ok, "healthy bundle failed the canary push");
     chaos.set_enabled(true);  // regression switches on after the push
     RolloutDecision decision = RolloutDecision::NeedMoreTraffic;
@@ -403,7 +415,7 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
     RolloutConfig rollout;
     rollout.canary = 2;
     rollout.guard_min_samples = 4;
-    const ReloadReport push = fleet->start_rollout(kBundleB, rollout);
+    const ReloadReport push = fleet->start_rollout(bundle_b(), rollout);
     check(push.ok, "promote phase: canary push failed");
     RolloutDecision decision = RolloutDecision::NeedMoreTraffic;
     for (int i = 0;
@@ -475,12 +487,13 @@ int main(int argc, char** argv) {
   auto model_a = make_model_factory("rf", kNumClasses, seed)(
       table4_optimum("rf", false));
   model_a->fit(prepared.train_x, prepared.train_y);
-  export_model_bundle(kBundleA, data, prepared, *model_a);
+  export_model_bundle(bundle_a(), data, prepared, *model_a);
   auto model_b = make_model_factory("lr", kNumClasses, seed)(
       table4_optimum("lr", false));
   model_b->fit(prepared.train_x, prepared.train_y);
-  export_model_bundle(kBundleB, data, prepared, *model_b);
-  std::printf("[setup] bundles exported to %s / %s\n", kBundleA, kBundleB);
+  export_model_bundle(bundle_b(), data, prepared, *model_b);
+  std::printf("[setup] bundles exported to %s / %s\n", bundle_a().c_str(),
+              bundle_b().c_str());
 
   const RunGenerator generator(cfg.system, cfg.registry, cfg.sim);
   // 95 on purpose: a stream length divisible by the replica count would

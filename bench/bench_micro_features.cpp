@@ -1,8 +1,13 @@
 // Microbenchmarks for the telemetry + feature-extraction substrates: node
 // simulation throughput, preprocessing, and per-series cost of the MVTS and
 // TSFRESH-like extractors (including the O(n²) entropy features that
-// dominate TSFRESH).
+// dominate TSFRESH). Extraction runs on two kinds of series: uniform random
+// values (all distinct) and small integers (tie-heavy, like idle counters
+// and quantized gauges), which load the value-count table and the entropy
+// template matches far more.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "common/rng.hpp"
 #include "features/extractor.hpp"
@@ -19,11 +24,25 @@ RegistryConfig bench_registry() {
   return cfg;
 }
 
-std::vector<double> random_series(std::size_t n, std::uint64_t seed) {
+enum SeriesKind : std::int64_t { kUniform = 0, kTies = 1 };
+
+std::vector<double> random_series(std::size_t n, std::int64_t kind,
+                                  std::uint64_t seed) {
   Rng rng(seed);
   std::vector<double> x(n);
-  for (auto& v : x) v = rng.uniform(0.0, 100.0);
+  for (auto& v : x) {
+    v = kind == kTies ? std::floor(rng.uniform(0.0, 6.0))
+                      : rng.uniform(0.0, 100.0);
+  }
   return x;
+}
+
+// Series lengths: a served Volta window (60 rows -> 48 points), an Eclipse
+// run (128 rows -> 116 points), and a long run.
+void extract_args(benchmark::internal::Benchmark* b) {
+  for (const std::int64_t n : {48, 116, 589}) {
+    for (const std::int64_t kind : {kUniform, kTies}) b->Args({n, kind});
+  }
 }
 
 void BM_NodeSimulate(benchmark::State& state) {
@@ -59,40 +78,47 @@ BENCHMARK(BM_PreprocessSeries)->Arg(96)->Arg(600);
 
 void BM_MvtsExtract(benchmark::State& state) {
   const MvtsExtractor mvts;
-  const auto x = random_series(static_cast<std::size_t>(state.range(0)), 2);
+  const auto x =
+      random_series(static_cast<std::size_t>(state.range(0)), state.range(1), 2);
   std::vector<double> out(mvts.num_features());
   for (auto _ : state) {
     mvts.extract(x, out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(mvts.num_features()));
 }
-BENCHMARK(BM_MvtsExtract)->Arg(89)->Arg(589);
+BENCHMARK(BM_MvtsExtract)->Apply(extract_args);
 
 void BM_TsfreshExtract(benchmark::State& state) {
   const TsfreshExtractor ts;
-  const auto x = random_series(static_cast<std::size_t>(state.range(0)), 3);
+  const auto x =
+      random_series(static_cast<std::size_t>(state.range(0)), state.range(1), 3);
   std::vector<double> out(ts.num_features());
   for (auto _ : state) {
     ts.extract(x, out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(ts.num_features()));
 }
-BENCHMARK(BM_TsfreshExtract)->Arg(89)->Arg(589);
+BENCHMARK(BM_TsfreshExtract)->Apply(extract_args);
 
 void BM_ApproximateEntropy(benchmark::State& state) {
-  const auto x = random_series(static_cast<std::size_t>(state.range(0)), 4);
+  const auto x =
+      random_series(static_cast<std::size_t>(state.range(0)), state.range(1), 4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(stats::approximate_entropy(x));
   }
 }
-BENCHMARK(BM_ApproximateEntropy)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_ApproximateEntropy)
+    ->ArgsProduct({{64, 128, 256}, {kUniform, kTies}});
 
 void BM_WelchPsd(benchmark::State& state) {
-  const auto x = random_series(static_cast<std::size_t>(state.range(0)), 5);
+  const auto x = random_series(static_cast<std::size_t>(state.range(0)),
+                               kUniform, 5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(stats::welch_psd(x, 64));
   }

@@ -42,7 +42,13 @@ using namespace alba;
 
 namespace {
 
-constexpr const char* kBundlePath = "/tmp/albadross_bench_bundle.bin";
+// The exported bundle, in a private directory removed at exit: two runs at
+// once never share it.
+const std::string& bundle_path() {
+  static const ScopedTempDir dir("albadross_bench_serving");
+  static const std::string path = dir.file("bundle.bin");
+  return path;
+}
 
 struct Stream {
   std::vector<Sample> samples;   // aligned with windows (repeats duplicated)
@@ -127,7 +133,7 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
   // Clean reference answers: what every Ok result must match, bit for bit.
   auto make_chaos_free = [] {
     return std::make_shared<DiagnosisService>(
-        load_model_bundle_file(kBundlePath), ServingConfig{});
+        load_model_bundle_file(bundle_path()), ServingConfig{});
   };
   std::vector<Diagnosis> reference;
   {
@@ -153,7 +159,7 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
   host_config.unhealthy_error_rate = 1.0;  // soak: breaker stays out of it
   {
     ServiceHost host(std::make_shared<DiagnosisService>(
-                         load_model_bundle_file(kBundlePath), chaotic),
+                         load_model_bundle_file(bundle_path()), chaotic),
                      host_config);
     const Deadline::Clock::duration budget = std::chrono::seconds(5);
     constexpr std::size_t kClients = 6;
@@ -218,7 +224,7 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
   tiny.unhealthy_error_rate = 1.0;
   {
     ServiceHost host(std::make_shared<DiagnosisService>(
-                         load_model_bundle_file(kBundlePath), slow_serving),
+                         load_model_bundle_file(bundle_path()), slow_serving),
                      tiny);
     constexpr std::size_t kClients = 6;
     std::atomic<std::size_t> ok{0}, shed{0}, untyped{0};
@@ -248,7 +254,7 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
   }
 
   // ---- phase 3: poisoned hot-reload pushes ------------------------------
-  const std::string bad_path = std::string(kBundlePath) + ".poisoned";
+  const std::string bad_path = bundle_path() + ".poisoned";
   {
     ServiceHost host(make_chaos_free());
     host.set_probe_windows({stream.windows[0], stream.windows[1]});
@@ -258,7 +264,7 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
     for (const auto& [poison, name] :
          {std::pair{BundlePoison::Truncate, "truncate"},
           std::pair{BundlePoison::BadMagic, "bad-magic"}}) {
-      write_poisoned_bundle(kBundlePath, bad_path, poison, seed + 2);
+      write_poisoned_bundle(bundle_path(), bad_path, poison, seed + 2);
       const ReloadReport report = host.reload_from_file(bad_path);
       std::printf("[chaos-smoke] reload(%s): %s\n", name,
                   report.summary().c_str());
@@ -271,7 +277,7 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
     }
     // A single flipped bit may or may not defeat validation; the invariant
     // is weaker but still hard: typed outcome, consistent serving either way.
-    write_poisoned_bundle(kBundlePath, bad_path, BundlePoison::BitFlip,
+    write_poisoned_bundle(bundle_path(), bad_path, BundlePoison::BitFlip,
                           seed + 3);
     const ReloadReport flip = host.reload_from_file(bad_path);
     std::printf("[chaos-smoke] reload(bit-flip): %s\n",
@@ -281,7 +287,7 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
           "host stopped serving after a bit-flip push");
 
     // And a genuine upgrade still goes through after all that abuse.
-    const ReloadReport good = host.reload_from_file(kBundlePath);
+    const ReloadReport good = host.reload_from_file(bundle_path());
     check(good.ok && host.generation() == good.generation,
           "clean reload failed after poisoned pushes");
     const HostResult upgraded = host.diagnose(stream.windows[2]);
@@ -649,9 +655,9 @@ int main(int argc, char** argv) {
   auto model = make_model_factory("rf", kNumClasses, seed)(
       table4_optimum("rf", false));
   model->fit(prepared.train_x, prepared.train_y);
-  export_model_bundle(kBundlePath, data, prepared, *model);
+  export_model_bundle(bundle_path(), data, prepared, *model);
   std::printf("[setup] bundle exported to %s (%zu selected features)\n",
-              kBundlePath, prepared.selected_names.size());
+              bundle_path().c_str(), prepared.selected_names.size());
 
   const RunGenerator generator(cfg.system, cfg.registry, cfg.sim);
   const std::size_t n =
@@ -663,7 +669,7 @@ int main(int argc, char** argv) {
   if (smoke) {
     ServingConfig smoke_config;
     smoke_config.max_batch = 8;
-    DiagnosisService service(load_model_bundle_file(kBundlePath),
+    DiagnosisService service(load_model_bundle_file(bundle_path()),
                              smoke_config);
     const auto diagnoses = service.diagnose_batch(stream.windows);
     const Matrix reference =
@@ -720,7 +726,7 @@ int main(int argc, char** argv) {
       ServingConfig serving;
       serving.max_batch = batch;
       serving.pool = &pool;
-      DiagnosisService service(load_model_bundle_file(kBundlePath), serving);
+      DiagnosisService service(load_model_bundle_file(bundle_path()), serving);
       for (std::size_t begin = 0; begin < stream.windows.size();
            begin += batch) {
         const std::size_t end =

@@ -46,8 +46,10 @@ int main() {
               oracle.queries_answered());
 
   // Freeze everything the serving side needs — the classifier plus the
-  // scaler/selector prepare_split fitted — into one versioned archive.
-  const std::string bundle_path = "/tmp/albadross_triage_bundle.bin";
+  // scaler/selector prepare_split fitted — into one versioned archive, in a
+  // private directory removed when the example ends.
+  const ScopedTempDir tmp("albadross_triage");
+  const std::string bundle_path = tmp.file("bundle.bin");
   export_model_bundle(bundle_path, data, prepared, learner.model());
 
   // ---- deployment phase --------------------------------------------------

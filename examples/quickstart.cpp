@@ -63,7 +63,8 @@ int main() {
   }
 
   // --- 5: persist ("pickle") and diagnose --------------------------------
-  const std::string model_path = "/tmp/albadross_quickstart_model.bin";
+  const ScopedTempDir tmp("albadross_quickstart");  // removed at scope exit
+  const std::string model_path = tmp.file("model.bin");
   save_classifier_file(model_path, learner.model());
   const auto restored = load_classifier_file(model_path);
   std::printf("\nmodel saved to %s and reloaded (%s)\n", model_path.c_str(),

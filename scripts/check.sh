@@ -34,8 +34,9 @@
 # exactly where silent out-of-bounds reads would hide), then a
 # ThreadSanitizer build of the concurrency-sensitive tests (thread pool,
 # tree training incl. the shared BinnedMatrix, active-learning loop, the
-# diagnosis service, its overload-safe host, and the replicated fleet)
-# to catch races in the parallel training/scoring/serving paths.
+# feature extractors on a pool, the diagnosis service, its
+# overload-safe host, and the replicated fleet) to catch races in the
+# parallel training/extraction/scoring/serving paths.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -99,18 +100,18 @@ cmake --build build-asan -j"$(nproc)" --target \
 (cd build-asan && ctest --output-on-failure -j"$(nproc)")
 
 echo
-echo "== tsan: thread pool + tree training + active learning + serving + fleet + streaming =="
+echo "== tsan: thread pool + tree training + active learning + extraction + serving + fleet + streaming =="
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" > /dev/null
 cmake --build build-tsan -j"$(nproc)" \
   --target test_thread_pool test_binning test_ml_trees test_compiled_tree \
-  test_ml_tools test_active test_active_ext test_serving \
+  test_ml_tools test_active test_active_ext test_features test_serving \
   test_service_host test_fleet test_streaming test_wire > /dev/null
 for t in test_thread_pool test_binning test_ml_trees test_compiled_tree \
-         test_ml_tools test_active test_active_ext test_serving \
-         test_service_host test_fleet test_streaming test_wire; do
+         test_ml_tools test_active test_active_ext test_features \
+         test_serving test_service_host test_fleet test_streaming test_wire; do
   echo "-- $t (tsan)"
   ./build-tsan/tests/"$t"
 done

@@ -46,6 +46,7 @@
 #include "common/log.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
+#include "common/temp_dir.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/config.hpp"

@@ -1,5 +1,6 @@
 #include "features/mvts.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -12,24 +13,25 @@ namespace {
 using namespace alba::stats;
 
 // The 11 descriptive statistics whose first-half/second-half absolute
-// differences are also emitted.
+// differences are also emitted. `sorted` is the half, sorted ascending.
 struct HalfStats {
   double mean_, std_, var_, min_, max_, median_, q25_, q75_, skew_, kurt_, range_;
 };
 
-HalfStats half_stats(std::span<const double> x) {
+HalfStats half_stats(std::span<const double> x, std::span<const double> sorted) {
+  const Moments mo = moments(x);
   HalfStats h;
-  h.mean_ = mean(x);
-  h.std_ = stddev(x);
-  h.var_ = variance(x);
-  h.min_ = minimum(x);
-  h.max_ = maximum(x);
-  h.median_ = median(x);
-  h.q25_ = quantile(x, 0.25);
-  h.q75_ = quantile(x, 0.75);
-  h.skew_ = skewness(x);
-  h.kurt_ = kurtosis(x);
-  h.range_ = range(x);
+  h.mean_ = mo.mean;
+  h.std_ = mo.stddev;
+  h.var_ = mo.variance;
+  h.min_ = mo.min;
+  h.max_ = mo.max;
+  h.median_ = quantile_sorted(sorted, 0.5);
+  h.q25_ = quantile_sorted(sorted, 0.25);
+  h.q75_ = quantile_sorted(sorted, 0.75);
+  h.skew_ = skewness(x, mo);
+  h.kurt_ = kurtosis(x, mo);
+  h.range_ = mo.range;
   return h;
 }
 }  // namespace
@@ -59,26 +61,41 @@ void MvtsExtractor::extract(std::span<const double> x,
                             std::span<double> out) const {
   ALBA_CHECK(out.size() == names_.size());
   ALBA_CHECK(x.size() >= 4) << "series too short for MVTS extraction";
+  // The intermediates the statistics share, each computed once: the
+  // moments, and one sort each of the series and of its two halves. The
+  // sort buffer is per call: extract is const and runs concurrently, and a
+  // buffer kept per thread pins pool-thread heap (it raised the offline
+  // dataset build's peak RSS by 4%).
+  const Moments mo = moments(x);
+  const std::size_t n = x.size();
+  const std::size_t half = n / 2;
+  std::vector<double> buffer(2 * n);
+  const std::span<double> sorted(buffer.data(), n);
+  const std::span<double> sorted_halves(buffer.data() + n, n);
+  std::copy(x.begin(), x.end(), sorted.begin());
+  std::copy(x.begin(), x.end(), sorted_halves.begin());
+  std::sort(sorted.begin(), sorted.end());
+  std::sort(sorted_halves.begin(), sorted_halves.begin() + half);
+  std::sort(sorted_halves.begin() + half, sorted_halves.end());
   std::size_t i = 0;
 
-  out[i++] = mean(x);
-  out[i++] = stddev(x);
-  out[i++] = variance(x);
-  out[i++] = minimum(x);
-  out[i++] = maximum(x);
-  out[i++] = range(x);
-  out[i++] = median(x);
-  out[i++] = quantile(x, 0.05);
-  out[i++] = quantile(x, 0.25);
-  out[i++] = quantile(x, 0.75);
-  out[i++] = quantile(x, 0.95);
-  out[i++] = skewness(x);
-  out[i++] = kurtosis(x);
-  out[i++] = quantile(x, 0.75) - quantile(x, 0.25);
+  out[i++] = mo.mean;
+  out[i++] = mo.stddev;
+  out[i++] = mo.variance;
+  out[i++] = mo.min;
+  out[i++] = mo.max;
+  out[i++] = mo.range;
+  out[i++] = quantile_sorted(sorted, 0.5);
+  out[i++] = quantile_sorted(sorted, 0.05);
+  out[i++] = quantile_sorted(sorted, 0.25);
+  out[i++] = quantile_sorted(sorted, 0.75);
+  out[i++] = quantile_sorted(sorted, 0.95);
+  out[i++] = skewness(x, mo);
+  out[i++] = kurtosis(x, mo);
+  out[i++] = quantile_sorted(sorted, 0.75) - quantile_sorted(sorted, 0.25);
 
-  const std::size_t half = x.size() / 2;
-  const HalfStats a = half_stats(x.subspan(0, half));
-  const HalfStats b = half_stats(x.subspan(half));
+  const HalfStats a = half_stats(x.first(half), sorted_halves.first(half));
+  const HalfStats b = half_stats(x.subspan(half), sorted_halves.subspan(half));
   out[i++] = std::abs(a.mean_ - b.mean_);
   out[i++] = std::abs(a.std_ - b.std_);
   out[i++] = std::abs(a.var_ - b.var_);
@@ -93,29 +110,30 @@ void MvtsExtractor::extract(std::span<const double> x,
 
   out[i++] = static_cast<double>(longest_strictly_increasing_run(x));
   out[i++] = static_cast<double>(longest_strictly_decreasing_run(x));
-  out[i++] = static_cast<double>(longest_run_above_mean(x));
-  out[i++] = static_cast<double>(longest_run_below_mean(x));
+  out[i++] = static_cast<double>(longest_run_above(x, mo.mean));
+  out[i++] = static_cast<double>(longest_run_below(x, mo.mean));
 
-  out[i++] = mean_abs_change(x);
+  const double abs_changes = absolute_sum_of_changes(x);
+  out[i++] = mean_abs_change(n, abs_changes);
   out[i++] = mean_change(x);
-  out[i++] = absolute_sum_of_changes(x);
+  out[i++] = abs_changes;
   out[i++] = mean_second_derivative_central(x);
-  out[i++] = static_cast<double>(count_above_mean(x));
-  out[i++] = static_cast<double>(count_below_mean(x));
+  out[i++] = static_cast<double>(count_above(x, mo.mean));
+  out[i++] = static_cast<double>(count_below(x, mo.mean));
   out[i++] = first_location_of_maximum(x);
   out[i++] = first_location_of_minimum(x);
   out[i++] = last_location_of_maximum(x);
   out[i++] = last_location_of_minimum(x);
-  out[i++] = static_cast<double>(number_of_crossings(x, mean(x)));
+  out[i++] = static_cast<double>(number_of_crossings(x, mo.mean));
   out[i++] = static_cast<double>(number_of_peaks(x, 3));
-  const LinearTrend trend = linear_trend(x);
+  const LinearTrend trend = linear_trend(x, mo.mean);
   out[i++] = trend.slope;
   out[i++] = trend.intercept;
   out[i++] = trend.rvalue;
   out[i++] = trend.stderr_;
-  out[i++] = cid_ce(x, /*normalize=*/true);
-  out[i++] = variation_coefficient(x);
-  out[i++] = root_mean_square(x);
+  out[i++] = cid_ce(x, /*normalize=*/true, mo);
+  out[i++] = variation_coefficient(mo);
+  out[i++] = root_mean_square(mo);
 
   ALBA_CHECK(i == names_.size());
 }

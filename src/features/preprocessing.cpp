@@ -80,8 +80,14 @@ std::vector<double> preprocess_metric_column(const Matrix& raw,
   ALBA_CHECK(metric < raw.cols());
   const auto head = static_cast<std::size_t>(config.trim_head);
 
+  // A non-finite reading counts as missing, as in preprocess_series_robust:
+  // two +inf counter readings would difference to NaN, and a NaN gap
+  // between +inf and -inf would interpolate to NaN.
   std::vector<double> col(t_kept);
-  for (std::size_t t = 0; t < t_kept; ++t) col[t] = raw(head + t, metric);
+  for (std::size_t t = 0; t < t_kept; ++t) {
+    const double v = raw(head + t, metric);
+    col[t] = std::isfinite(v) ? v : std::numeric_limits<double>::quiet_NaN();
+  }
   interpolate_nans(col);
   if (registry.metric(metric).kind == MetricKind::Counter) {
     return difference_counter(col);

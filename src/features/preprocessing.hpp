@@ -1,7 +1,8 @@
 // Raw-series preprocessing, replicating Sec. IV-E-1 of the paper:
 //  1. trim the init/termination intervals (metrics fluctuate there),
 //  2. difference cumulative counters (the change matters, not the value),
-//  3. linearly interpolate missing samples (LDMS drops occur in practice).
+//  3. linearly interpolate missing samples (LDMS drops occur in practice);
+//     a non-finite reading (NaN or ±inf) counts as missing.
 // The output of `preprocess_series` is a clean T' x M matrix of
 // gauge-values / counter-rates with no NaNs, ready for feature extraction.
 #pragma once

@@ -1,5 +1,6 @@
 #include "features/tsfresh.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 
@@ -17,9 +18,8 @@ namespace alba {
 namespace {
 using namespace alba::stats;
 
-// Stride-decimates x to at most `cap` points (for the O(n²) entropies).
+// Stride-decimates x (longer than `cap`) to `cap` points.
 std::vector<double> decimate(std::span<const double> x, std::size_t cap) {
-  if (x.size() <= cap) return {x.begin(), x.end()};
   std::vector<double> out;
   out.reserve(cap);
   const double stride =
@@ -30,10 +30,10 @@ std::vector<double> decimate(std::span<const double> x, std::size_t cap) {
   return out;
 }
 
-// Energy of chunk k out of `chunks` equal slices, as a fraction of total.
-double energy_ratio_by_chunk(std::span<const double> x, std::size_t chunks,
-                             std::size_t k) {
-  const double total = abs_energy(x);
+// Energy of chunk k out of `chunks` equal slices, as a fraction of the
+// series' total energy.
+double energy_ratio_by_chunk(std::span<const double> x, double total,
+                             std::size_t chunks, std::size_t k) {
   if (total < 1e-300 || x.empty()) return 0.0;
   const std::size_t chunk_len = (x.size() + chunks - 1) / chunks;
   const std::size_t begin = k * chunk_len;
@@ -42,10 +42,9 @@ double energy_ratio_by_chunk(std::span<const double> x, std::size_t chunks,
   return abs_energy(x.subspan(begin, len)) / total;
 }
 
-// Relative index where the cumulative |x| mass reaches fraction q.
-double index_mass_quantile(std::span<const double> x, double q) {
-  double total = 0.0;
-  for (double v : x) total += std::abs(v);
+// Relative index where the cumulative |x| mass reaches fraction q of
+// `total`, the series' whole |x| mass.
+double index_mass_quantile(std::span<const double> x, double total, double q) {
   if (total < 1e-300) return 1.0;
   double acc = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -141,69 +140,88 @@ void TsfreshExtractor::extract(std::span<const double> x,
                                std::span<double> out) const {
   ALBA_CHECK(out.size() == names_.size());
   ALBA_CHECK(x.size() >= 8) << "series too short for TSFRESH extraction";
+  // The intermediates the statistics share, each computed once, in per-call
+  // buffers: extract is const and runs concurrently.
+  const Moments mo = moments(x);
+  std::vector<double> sorted(x.begin(), x.end());
+  std::sort(sorted.begin(), sorted.end());
+  const double median = quantile_sorted(sorted, 0.5);
   std::size_t i = 0;
 
-  out[i++] = sum(x);
-  out[i++] = mean(x);
-  out[i++] = stddev(x);
-  out[i++] = variance(x);
-  out[i++] = minimum(x);
-  out[i++] = maximum(x);
-  out[i++] = median(x);
-  out[i++] = skewness(x);
-  out[i++] = kurtosis(x);
-  out[i++] = root_mean_square(x);
-  out[i++] = abs_energy(x);
-  out[i++] = variation_coefficient(x);
-  out[i++] = quantile(x, 0.75) - quantile(x, 0.25);
-  for (int q = 1; q <= 9; ++q) out[i++] = quantile(x, 0.1 * q);
+  out[i++] = mo.sum;
+  out[i++] = mo.mean;
+  out[i++] = mo.stddev;
+  out[i++] = mo.variance;
+  out[i++] = mo.min;
+  out[i++] = mo.max;
+  out[i++] = median;
+  out[i++] = skewness(x, mo);
+  out[i++] = kurtosis(x, mo);
+  out[i++] = root_mean_square(mo);
+  out[i++] = mo.energy;
+  out[i++] = variation_coefficient(mo);
+  out[i++] = quantile_sorted(sorted, 0.75) - quantile_sorted(sorted, 0.25);
+  for (int q = 1; q <= 9; ++q) out[i++] = quantile_sorted(sorted, 0.1 * q);
 
-  out[i++] = mean_abs_change(x);
+  const double abs_changes = absolute_sum_of_changes(x);
+  out[i++] = mean_abs_change(x.size(), abs_changes);
   out[i++] = mean_change(x);
   out[i++] = mean_second_derivative_central(x);
-  out[i++] = absolute_sum_of_changes(x);
-  out[i++] = cid_ce(x, true);
-  out[i++] = cid_ce(x, false);
+  out[i++] = abs_changes;
+  out[i++] = cid_ce(x, true, mo);
+  out[i++] = cid_ce(x, false, mo);
 
-  out[i++] = static_cast<double>(count_above_mean(x));
-  out[i++] = static_cast<double>(count_below_mean(x));
-  out[i++] = static_cast<double>(number_of_crossings(x, mean(x)));
+  out[i++] = static_cast<double>(count_above(x, mo.mean));
+  out[i++] = static_cast<double>(count_below(x, mo.mean));
+  out[i++] = static_cast<double>(number_of_crossings(x, mo.mean));
   out[i++] = static_cast<double>(number_of_peaks(x, 1));
   out[i++] = static_cast<double>(number_of_peaks(x, 3));
   out[i++] = static_cast<double>(number_of_peaks(x, 5));
-  out[i++] = static_cast<double>(longest_run_above_mean(x));
-  out[i++] = static_cast<double>(longest_run_below_mean(x));
+  out[i++] = static_cast<double>(longest_run_above(x, mo.mean));
+  out[i++] = static_cast<double>(longest_run_below(x, mo.mean));
   out[i++] = static_cast<double>(longest_strictly_increasing_run(x));
   out[i++] = static_cast<double>(longest_strictly_decreasing_run(x));
   out[i++] = first_location_of_maximum(x);
   out[i++] = first_location_of_minimum(x);
   out[i++] = last_location_of_maximum(x);
   out[i++] = last_location_of_minimum(x);
-  out[i++] = ratio_beyond_r_sigma(x, 1.0);
-  out[i++] = ratio_beyond_r_sigma(x, 2.0);
-  out[i++] = ratio_beyond_r_sigma(x, 3.0);
+  out[i++] = ratio_beyond_r_sigma(x, mo, 1.0);
+  out[i++] = ratio_beyond_r_sigma(x, mo, 2.0);
+  out[i++] = ratio_beyond_r_sigma(x, mo, 3.0);
 
-  out[i++] = has_duplicate(x) ? 1.0 : 0.0;
-  out[i++] = has_duplicate_max(x) ? 1.0 : 0.0;
-  out[i++] = has_duplicate_min(x) ? 1.0 : 0.0;
-  out[i++] = sum_of_reoccurring_values(x);
-  out[i++] = percentage_of_reoccurring_datapoints(x);
-  out[i++] = large_standard_deviation(x, 0.25) ? 1.0 : 0.0;
-  out[i++] = symmetry_looking(x, 0.05) ? 1.0 : 0.0;
-  out[i++] = symmetry_looking(x, 0.25) ? 1.0 : 0.0;
+  const ValueCounts counts = value_counts(x);
+  out[i++] = has_duplicate(counts) ? 1.0 : 0.0;
+  out[i++] = has_duplicate_value(x, mo.max) ? 1.0 : 0.0;
+  out[i++] = has_duplicate_value(x, mo.min) ? 1.0 : 0.0;
+  out[i++] = sum_of_reoccurring_values(counts);
+  out[i++] = percentage_of_reoccurring_datapoints(counts);
+  out[i++] = large_standard_deviation(mo, 0.25) ? 1.0 : 0.0;
+  out[i++] = symmetry_looking(mo, median, 0.05) ? 1.0 : 0.0;
+  out[i++] = symmetry_looking(mo, median, 0.25) ? 1.0 : 0.0;
 
-  for (std::size_t lag = 1; lag <= config_.acf_lags; ++lag) {
-    out[i++] = autocorrelation(x, lag);
+  const std::vector<double> rho =
+      acf(x, mo, std::max(config_.acf_lags, config_.pacf_lags));
+  for (std::size_t lag = 1; lag <= config_.acf_lags; ++lag) out[i++] = rho[lag];
+  out[i++] = agg_autocorrelation_mean_abs(
+      std::span(rho).first(config_.acf_lags + 1));
+  partial_autocorrelations(std::span(rho).first(config_.pacf_lags + 1),
+                           out.subspan(i, config_.pacf_lags));
+  i += config_.pacf_lags;
+
+  out[i++] = binned_entropy(x, mo, 10);
+  // ApEn/SampEn are O(n²): a series longer than entropy_cap is decimated
+  // for those two only.
+  std::vector<double> decimated;
+  std::span<const double> xe = x;
+  double xe_stddev = mo.stddev;
+  if (x.size() > config_.entropy_cap) {
+    decimated = decimate(x, config_.entropy_cap);
+    xe = decimated;
+    xe_stddev = stddev(decimated);
   }
-  out[i++] = agg_autocorrelation_mean_abs(x, config_.acf_lags);
-  for (std::size_t lag = 1; lag <= config_.pacf_lags; ++lag) {
-    out[i++] = partial_autocorrelation(x, lag);
-  }
-
-  const std::vector<double> xd = decimate(x, config_.entropy_cap);
-  out[i++] = binned_entropy(x, 10);
-  out[i++] = approximate_entropy(xd, 2, 0.2);
-  out[i++] = sample_entropy(xd, 2, 0.2);
+  const TemplateEntropies entropies = template_entropies(xe, xe_stddev, 2, 0.2);
+  out[i++] = entropies.approximate;
+  out[i++] = entropies.sample;
 
   for (std::size_t lag = 1; lag <= 3; ++lag) out[i++] = c3(x, lag);
   for (std::size_t lag = 1; lag <= 3; ++lag) {
@@ -232,15 +250,19 @@ void TsfreshExtractor::extract(std::span<const double> x,
   out[i++] = spectral_centroid(psd);
   out[i++] = dominant_frequency(psd);
 
-  const LinearTrend trend = linear_trend(x);
+  const LinearTrend trend = linear_trend(x, mo.mean);
   out[i++] = trend.slope;
   out[i++] = trend.intercept;
   out[i++] = trend.rvalue;
   out[i++] = trend.stderr_;
-  for (std::size_t k = 0; k < 4; ++k) out[i++] = energy_ratio_by_chunk(x, 4, k);
-  out[i++] = index_mass_quantile(x, 0.25);
-  out[i++] = index_mass_quantile(x, 0.50);
-  out[i++] = index_mass_quantile(x, 0.75);
+  for (std::size_t k = 0; k < 4; ++k) {
+    out[i++] = energy_ratio_by_chunk(x, mo.energy, 4, k);
+  }
+  double mass = 0.0;
+  for (double v : x) mass += std::abs(v);
+  out[i++] = index_mass_quantile(x, mass, 0.25);
+  out[i++] = index_mass_quantile(x, mass, 0.50);
+  out[i++] = index_mass_quantile(x, mass, 0.75);
 
   ALBA_CHECK(i == names_.size());
 }

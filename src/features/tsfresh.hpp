@@ -11,9 +11,9 @@
 // in the pipeline (a wider, more redundant feature space than MVTS that
 // chi-square selection then prunes).
 //
-// Cost note: approximate/sample entropy are O(n²); series longer than
-// `entropy_cap` are decimated (stride subsampling) before those two
-// features only.
+// Cost note: approximate/sample entropy are O(n²) (one shared template-
+// match sweep computes both); series longer than `entropy_cap` are
+// decimated (stride subsampling) before those two features only.
 #pragma once
 
 #include "features/mvts.hpp"

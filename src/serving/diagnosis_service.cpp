@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -115,16 +116,18 @@ DiagnosisService::DiagnosisService(ModelBundle bundle, ServingConfig config)
   // Resolve every selected feature name against the raw feature space this
   // registry/extractor pair produces (column j*F+f is feature f of metric
   // j, as in extract_features), composing projection + scaling into a
-  // per-input-column plan grouped by metric.
-  const std::size_t f = extractor_->num_features();
+  // per-input-column plan grouped by metric. A name is "metric|feature";
+  // feature names hold no '|', so the last one splits it.
   const auto& extractor_features = extractor_->feature_names();
-  std::unordered_map<std::string, std::size_t> raw_index;
-  raw_index.reserve(registry_.size() * f);
+  std::unordered_map<std::string_view, std::size_t> metric_index;
+  std::unordered_map<std::string_view, std::size_t> feature_index;
+  metric_index.reserve(registry_.size());
+  feature_index.reserve(extractor_features.size());
   for (std::size_t j = 0; j < registry_.size(); ++j) {
-    for (std::size_t k = 0; k < f; ++k) {
-      raw_index.emplace(registry_.metric(j).name + "|" + extractor_features[k],
-                        j * f + k);
-    }
+    metric_index.emplace(registry_.metric(j).name, j);
+  }
+  for (std::size_t k = 0; k < extractor_features.size(); ++k) {
+    feature_index.emplace(extractor_features[k], k);
   }
 
   const std::size_t inputs = bundle_.selected.size();
@@ -133,13 +136,17 @@ DiagnosisService::DiagnosisService(ModelBundle bundle, ServingConfig config)
   std::unordered_map<std::size_t, std::size_t> metric_slot;
   for (std::size_t c = 0; c < inputs; ++c) {
     const auto sel = static_cast<std::size_t>(bundle_.selected[c]);
-    const std::string& name = bundle_.feature_names[sel];
-    const auto it = raw_index.find(name);
-    ALBA_CHECK(it != raw_index.end())
+    const std::string_view name = bundle_.feature_names[sel];
+    const std::size_t bar = name.rfind('|');
+    const auto metric_it = metric_index.find(name.substr(0, bar));
+    const auto feature_it = feature_index.find(name.substr(bar + 1));
+    ALBA_CHECK(bar != std::string_view::npos &&
+               metric_it != metric_index.end() &&
+               feature_it != feature_index.end())
         << "bundle feature '" << name
         << "' is not produced by its own registry/extractor config";
-    const std::size_t metric = it->second / f;
-    const std::size_t feature = it->second % f;
+    const std::size_t metric = metric_it->second;
+    const std::size_t feature = feature_it->second;
     col_min_[c] = bundle_.scaler_mins[sel];
     col_max_[c] = bundle_.scaler_maxs[sel];
 

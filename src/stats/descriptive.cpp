@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 namespace alba::stats {
 
@@ -17,32 +16,6 @@ double sum(std::span<const double> x) noexcept {
   return acc;
 }
 
-double mean(std::span<const double> x) noexcept {
-  if (x.empty()) return kNaN;
-  return sum(x) / static_cast<double>(x.size());
-}
-
-double variance(std::span<const double> x) noexcept {
-  if (x.empty()) return kNaN;
-  const double m = mean(x);
-  double acc = 0.0;
-  for (double v : x) acc += (v - m) * (v - m);
-  return acc / static_cast<double>(x.size());
-}
-
-double sample_variance(std::span<const double> x) noexcept {
-  if (x.size() < 2) return kNaN;
-  const double m = mean(x);
-  double acc = 0.0;
-  for (double v : x) acc += (v - m) * (v - m);
-  return acc / static_cast<double>(x.size() - 1);
-}
-
-double stddev(std::span<const double> x) noexcept {
-  const double v = variance(x);
-  return std::isnan(v) ? kNaN : std::sqrt(v);
-}
-
 double minimum(std::span<const double> x) noexcept {
   if (x.empty()) return kNaN;
   return *std::min_element(x.begin(), x.end());
@@ -53,28 +26,66 @@ double maximum(std::span<const double> x) noexcept {
   return *std::max_element(x.begin(), x.end());
 }
 
-double range(std::span<const double> x) noexcept {
-  if (x.empty()) return kNaN;
-  return maximum(x) - minimum(x);
+double abs_energy(std::span<const double> x) noexcept {
+  double acc = 0.0;
+  for (double v : x) acc += v * v;
+  return acc;
+}
+
+Moments moments(std::span<const double> x) noexcept {
+  Moments mo;
+  mo.n = x.size();
+  mo.sum = sum(x);
+  mo.energy = abs_energy(x);
+  if (x.empty()) {
+    mo.mean = mo.ssd = mo.variance = mo.stddev = kNaN;
+    mo.min = mo.max = mo.range = kNaN;
+    return mo;
+  }
+  const double n = static_cast<double>(x.size());
+  mo.mean = mo.sum / n;
+  double acc = 0.0;
+  for (double v : x) acc += (v - mo.mean) * (v - mo.mean);
+  mo.ssd = acc;
+  mo.variance = acc / n;
+  mo.stddev = std::isnan(mo.variance) ? kNaN : std::sqrt(mo.variance);
+  mo.min = minimum(x);
+  mo.max = maximum(x);
+  mo.range = mo.max - mo.min;
+  return mo;
+}
+
+double mean(std::span<const double> x) noexcept { return moments(x).mean; }
+double variance(std::span<const double> x) noexcept { return moments(x).variance; }
+double stddev(std::span<const double> x) noexcept { return moments(x).stddev; }
+double range(std::span<const double> x) noexcept { return moments(x).range; }
+
+double sample_variance(std::span<const double> x) noexcept {
+  if (x.size() < 2) return kNaN;
+  return moments(x).ssd / static_cast<double>(x.size() - 1);
+}
+
+double quantile_sorted(std::span<const double> sorted, double q) noexcept {
+  if (sorted.empty()) return kNaN;
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+  const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+double quantile(std::span<const double> x, double q) {
+  std::vector<double> v(x.begin(), x.end());
+  std::sort(v.begin(), v.end());
+  return quantile_sorted(v, q);
 }
 
 double median(std::span<const double> x) { return quantile(x, 0.5); }
 
-double quantile(std::span<const double> x, double q) {
-  if (x.empty()) return kNaN;
-  std::vector<double> v(x.begin(), x.end());
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
-  const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
-}
-
-double skewness(std::span<const double> x) noexcept {
+double skewness(std::span<const double> x, const Moments& mo) noexcept {
   if (x.size() < 3) return kNaN;
-  const double m = mean(x);
-  const double s = stddev(x);
+  const double m = mo.mean;
+  const double s = mo.stddev;
   if (s < 1e-300) return kNaN;
   double acc = 0.0;
   for (double v : x) {
@@ -84,10 +95,14 @@ double skewness(std::span<const double> x) noexcept {
   return acc / static_cast<double>(x.size());
 }
 
-double kurtosis(std::span<const double> x) noexcept {
+double skewness(std::span<const double> x) noexcept {
+  return skewness(x, moments(x));
+}
+
+double kurtosis(std::span<const double> x, const Moments& mo) noexcept {
   if (x.size() < 4) return kNaN;
-  const double m = mean(x);
-  const double s = stddev(x);
+  const double m = mo.mean;
+  const double s = mo.stddev;
   if (s < 1e-300) return kNaN;
   double acc = 0.0;
   for (double v : x) {
@@ -97,39 +112,46 @@ double kurtosis(std::span<const double> x) noexcept {
   return acc / static_cast<double>(x.size()) - 3.0;
 }
 
-double variation_coefficient(std::span<const double> x) noexcept {
-  const double m = mean(x);
-  if (std::abs(m) < 1e-300) return kNaN;
-  return stddev(x) / std::abs(m);
+double kurtosis(std::span<const double> x) noexcept {
+  return kurtosis(x, moments(x));
 }
 
-double abs_energy(std::span<const double> x) noexcept {
-  double acc = 0.0;
-  for (double v : x) acc += v * v;
-  return acc;
+double variation_coefficient(const Moments& mo) noexcept {
+  if (std::abs(mo.mean) < 1e-300) return kNaN;
+  return mo.stddev / std::abs(mo.mean);
+}
+
+double variation_coefficient(std::span<const double> x) noexcept {
+  return variation_coefficient(moments(x));
+}
+
+double root_mean_square(const Moments& mo) noexcept {
+  if (mo.n == 0) return kNaN;
+  return std::sqrt(mo.energy / static_cast<double>(mo.n));
 }
 
 double root_mean_square(std::span<const double> x) noexcept {
-  if (x.empty()) return kNaN;
-  return std::sqrt(abs_energy(x) / static_cast<double>(x.size()));
-}
-
-double mean_abs_change(std::span<const double> x) noexcept {
-  if (x.size() < 2) return kNaN;
-  double acc = 0.0;
-  for (std::size_t i = 1; i < x.size(); ++i) acc += std::abs(x[i] - x[i - 1]);
-  return acc / static_cast<double>(x.size() - 1);
-}
-
-double mean_change(std::span<const double> x) noexcept {
-  if (x.size() < 2) return kNaN;
-  return (x.back() - x.front()) / static_cast<double>(x.size() - 1);
+  return root_mean_square(moments(x));
 }
 
 double absolute_sum_of_changes(std::span<const double> x) noexcept {
   double acc = 0.0;
   for (std::size_t i = 1; i < x.size(); ++i) acc += std::abs(x[i] - x[i - 1]);
   return acc;
+}
+
+double mean_abs_change(std::size_t n, double abs_sum_of_changes) noexcept {
+  if (n < 2) return kNaN;
+  return abs_sum_of_changes / static_cast<double>(n - 1);
+}
+
+double mean_abs_change(std::span<const double> x) noexcept {
+  return mean_abs_change(x.size(), absolute_sum_of_changes(x));
+}
+
+double mean_change(std::span<const double> x) noexcept {
+  if (x.size() < 2) return kNaN;
+  return (x.back() - x.front()) / static_cast<double>(x.size() - 1);
 }
 
 double mean_second_derivative_central(std::span<const double> x) noexcept {
@@ -141,18 +163,24 @@ double mean_second_derivative_central(std::span<const double> x) noexcept {
   return acc / static_cast<double>(x.size() - 2);
 }
 
-std::size_t count_above_mean(std::span<const double> x) noexcept {
-  const double m = mean(x);
+std::size_t count_above(std::span<const double> x, double t) noexcept {
   std::size_t n = 0;
-  for (double v : x) n += (v > m) ? 1 : 0;
+  for (double v : x) n += (v > t) ? 1 : 0;
   return n;
 }
 
-std::size_t count_below_mean(std::span<const double> x) noexcept {
-  const double m = mean(x);
+std::size_t count_below(std::span<const double> x, double t) noexcept {
   std::size_t n = 0;
-  for (double v : x) n += (v < m) ? 1 : 0;
+  for (double v : x) n += (v < t) ? 1 : 0;
   return n;
+}
+
+std::size_t count_above_mean(std::span<const double> x) noexcept {
+  return count_above(x, mean(x));
+}
+
+std::size_t count_below_mean(std::span<const double> x) noexcept {
+  return count_below(x, mean(x));
 }
 
 namespace {
@@ -217,14 +245,20 @@ std::size_t longest_strictly_decreasing_run(std::span<const double> x) noexcept 
   return longest_run(x.subspan(1), [&x](std::size_t i) { return x[i + 1] < x[i]; });
 }
 
+std::size_t longest_run_above(std::span<const double> x, double t) noexcept {
+  return longest_run(x, [&x, t](std::size_t i) { return x[i] > t; });
+}
+
+std::size_t longest_run_below(std::span<const double> x, double t) noexcept {
+  return longest_run(x, [&x, t](std::size_t i) { return x[i] < t; });
+}
+
 std::size_t longest_run_above_mean(std::span<const double> x) noexcept {
-  const double m = mean(x);
-  return longest_run(x, [&x, m](std::size_t i) { return x[i] > m; });
+  return longest_run_above(x, mean(x));
 }
 
 std::size_t longest_run_below_mean(std::span<const double> x) noexcept {
-  const double m = mean(x);
-  return longest_run(x, [&x, m](std::size_t i) { return x[i] < m; });
+  return longest_run_below(x, mean(x));
 }
 
 std::size_t number_of_peaks(std::span<const double> x, std::size_t support) noexcept {
@@ -250,42 +284,50 @@ std::size_t number_of_crossings(std::span<const double> x, double t) noexcept {
   return count;
 }
 
-double ratio_beyond_r_sigma(std::span<const double> x, double r) noexcept {
+double ratio_beyond_r_sigma(std::span<const double> x, const Moments& mo,
+                            double r) noexcept {
   if (x.empty()) return kNaN;
-  const double m = mean(x);
-  const double s = stddev(x);
   std::size_t count = 0;
-  for (double v : x) count += (std::abs(v - m) > r * s) ? 1 : 0;
+  for (double v : x) count += (std::abs(v - mo.mean) > r * mo.stddev) ? 1 : 0;
   return static_cast<double>(count) / static_cast<double>(x.size());
 }
 
-bool has_duplicate(std::span<const double> x) {
-  std::unordered_map<double, int> seen;
-  for (double v : x) {
-    if (++seen[v] > 1) return true;
+double ratio_beyond_r_sigma(std::span<const double> x, double r) noexcept {
+  return ratio_beyond_r_sigma(x, moments(x), r);
+}
+
+ValueCounts value_counts(std::span<const double> x) {
+  ValueCounts counts;
+  for (double v : x) ++counts[v];
+  return counts;
+}
+
+bool has_duplicate(const ValueCounts& counts) noexcept {
+  for (const auto& [v, c] : counts) {
+    if (c > 1) return true;
   }
   return false;
 }
 
-bool has_duplicate_max(std::span<const double> x) noexcept {
-  if (x.empty()) return false;
-  const double mx = maximum(x);
+bool has_duplicate(std::span<const double> x) {
+  return has_duplicate(value_counts(x));
+}
+
+bool has_duplicate_value(std::span<const double> x, double extreme) noexcept {
   std::size_t count = 0;
-  for (double v : x) count += (v == mx) ? 1 : 0;
+  for (double v : x) count += (v == extreme) ? 1 : 0;
   return count > 1;
+}
+
+bool has_duplicate_max(std::span<const double> x) noexcept {
+  return has_duplicate_value(x, maximum(x));
 }
 
 bool has_duplicate_min(std::span<const double> x) noexcept {
-  if (x.empty()) return false;
-  const double mn = minimum(x);
-  std::size_t count = 0;
-  for (double v : x) count += (v == mn) ? 1 : 0;
-  return count > 1;
+  return has_duplicate_value(x, minimum(x));
 }
 
-double sum_of_reoccurring_values(std::span<const double> x) {
-  std::unordered_map<double, std::size_t> counts;
-  for (double v : x) ++counts[v];
+double sum_of_reoccurring_values(const ValueCounts& counts) noexcept {
   double acc = 0.0;
   for (const auto& [v, c] : counts) {
     if (c > 1) acc += v;
@@ -293,15 +335,21 @@ double sum_of_reoccurring_values(std::span<const double> x) {
   return acc;
 }
 
-double percentage_of_reoccurring_datapoints(std::span<const double> x) {
-  if (x.empty()) return kNaN;
-  std::unordered_map<double, std::size_t> counts;
-  for (double v : x) ++counts[v];
+double sum_of_reoccurring_values(std::span<const double> x) {
+  return sum_of_reoccurring_values(value_counts(x));
+}
+
+double percentage_of_reoccurring_datapoints(const ValueCounts& counts) noexcept {
+  if (counts.empty()) return kNaN;
   std::size_t reoccurring = 0;
   for (const auto& [v, c] : counts) {
     if (c > 1) ++reoccurring;
   }
   return static_cast<double>(reoccurring) / static_cast<double>(counts.size());
+}
+
+double percentage_of_reoccurring_datapoints(std::span<const double> x) {
+  return percentage_of_reoccurring_datapoints(value_counts(x));
 }
 
 double c3(std::span<const double> x, std::size_t lag) noexcept {
@@ -312,12 +360,13 @@ double c3(std::span<const double> x, std::size_t lag) noexcept {
   return acc / static_cast<double>(n);
 }
 
-double cid_ce(std::span<const double> x, bool normalize) noexcept {
+double cid_ce(std::span<const double> x, bool normalize,
+              const Moments& mo) noexcept {
   if (x.size() < 2) return kNaN;
   if (normalize) {
-    const double s = stddev(x);
+    const double s = mo.stddev;
     if (s < 1e-300) return 0.0;
-    const double m = mean(x);
+    const double m = mo.mean;
     double acc = 0.0;
     double prev = (x[0] - m) / s;
     for (std::size_t i = 1; i < x.size(); ++i) {
@@ -334,6 +383,10 @@ double cid_ce(std::span<const double> x, bool normalize) noexcept {
   return std::sqrt(acc);
 }
 
+double cid_ce(std::span<const double> x, bool normalize) noexcept {
+  return cid_ce(x, normalize, moments(x));
+}
+
 double time_reversal_asymmetry(std::span<const double> x, std::size_t lag) noexcept {
   if (x.size() < 2 * lag + 1) return kNaN;
   const std::size_t n = x.size() - 2 * lag;
@@ -345,12 +398,20 @@ double time_reversal_asymmetry(std::span<const double> x, std::size_t lag) noexc
   return acc / static_cast<double>(n);
 }
 
+bool large_standard_deviation(const Moments& mo, double r) noexcept {
+  return mo.stddev > r * mo.range;
+}
+
 bool large_standard_deviation(std::span<const double> x, double r) noexcept {
-  return stddev(x) > r * range(x);
+  return large_standard_deviation(moments(x), r);
+}
+
+bool symmetry_looking(const Moments& mo, double median, double r) noexcept {
+  return std::abs(mo.mean - median) < r * mo.range;
 }
 
 bool symmetry_looking(std::span<const double> x, double r) {
-  return std::abs(mean(x) - median(x)) < r * range(x);
+  return symmetry_looking(moments(x), median(x), r);
 }
 
 }  // namespace alba::stats

@@ -1,64 +1,43 @@
 #include "stats/entropy.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
-
-#include "stats/descriptive.hpp"
 
 namespace alba::stats {
 
 namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-// phi(m) for ApEn: mean over i of log of the fraction of j whose m-length
-// templates are within r (Chebyshev distance), self-matches included.
-double apen_phi(std::span<const double> x, std::size_t m, double r) {
-  const std::size_t n = x.size();
-  const std::size_t count = n - m + 1;
+// ApEn's phi: the mean over templates of log(matches / templates), summed
+// in template order.
+double phi(std::span<const std::size_t> matches) {
+  const double count = static_cast<double>(matches.size());
   double acc = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::size_t matches = 0;
-    for (std::size_t j = 0; j < count; ++j) {
-      bool ok = true;
-      for (std::size_t k = 0; k < m; ++k) {
-        if (std::abs(x[i + k] - x[j + k]) > r) {
-          ok = false;
-          break;
-        }
-      }
-      matches += ok ? 1 : 0;
-    }
-    acc += std::log(static_cast<double>(matches) / static_cast<double>(count));
+  for (const std::size_t c : matches) {
+    acc += std::log(static_cast<double>(c) / count);
   }
-  return acc / static_cast<double>(count);
+  return acc / count;
 }
 }  // namespace
 
-double approximate_entropy(std::span<const double> x, std::size_t m,
-                           double r_frac) {
-  if (x.size() < m + 2) return 0.0;
-  const double s = stddev(x);
-  if (s < 1e-300) return 0.0;
-  const double r = r_frac * s;
-  return apen_phi(x, m, r) - apen_phi(x, m + 1, r);
-}
-
-double sample_entropy(std::span<const double> x, std::size_t m, double r_frac) {
+TemplateEntropies template_entropies(std::span<const double> x, double stddev,
+                                     std::size_t m, double r_frac) {
   const std::size_t n = x.size();
-  if (n < m + 2) return kNaN;
-  const double s = stddev(x);
-  if (s < 1e-300) return kNaN;
-  const double r = r_frac * s;
+  if (n < m + 2 || stddev < 1e-300) return {0.0, kNaN};
+  const double r = r_frac * stddev;
 
-  // Count template matches of length m (B) and m+1 (A), self-matches
-  // excluded, in one fused pass.
-  std::size_t a = 0;
-  std::size_t b = 0;
-  const std::size_t count = n - m;
-  for (std::size_t i = 0; i < count; ++i) {
-    for (std::size_t j = i + 1; j < count; ++j) {
+  // Per-template match counts of length m (n-m+1 templates) and m+1 (n-m
+  // templates), self-matches included.
+  const std::size_t count_m = n - m + 1;
+  const std::size_t count_m1 = n - m;
+  std::vector<std::size_t> matches_m(count_m, 0);
+  std::vector<std::size_t> matches_m1(count_m1, 0);
+
+  std::size_t a = 0;  // SampEn pairs i < j matching at length m + 1
+  std::size_t b = 0;  // ... at length m
+  for (std::size_t i = 0; i < count_m; ++i) {
+    for (std::size_t j = i; j < count_m; ++j) {
       bool match_m = true;
       for (std::size_t k = 0; k < m; ++k) {
         if (std::abs(x[i + k] - x[j + k]) > r) {
@@ -67,18 +46,42 @@ double sample_entropy(std::span<const double> x, std::size_t m, double r_frac) {
         }
       }
       if (!match_m) continue;
-      ++b;
-      if (std::abs(x[i + m] - x[j + m]) <= r) ++a;
+      ++matches_m[i];
+      if (j != i) ++matches_m[j];
+      if (j >= count_m1) continue;
+      const double d = std::abs(x[i + m] - x[j + m]);
+      if (!(d > r)) {
+        ++matches_m1[i];
+        if (j != i) ++matches_m1[j];
+      }
+      if (j > i) {
+        ++b;
+        if (d <= r) ++a;
+      }
     }
   }
-  if (a == 0 || b == 0) return kNaN;
-  return -std::log(static_cast<double>(a) / static_cast<double>(b));
+  TemplateEntropies out;
+  out.approximate = phi(matches_m) - phi(matches_m1);
+  out.sample = (a == 0 || b == 0)
+                   ? kNaN
+                   : -std::log(static_cast<double>(a) / static_cast<double>(b));
+  return out;
 }
 
-double binned_entropy(std::span<const double> x, std::size_t bins) {
+double approximate_entropy(std::span<const double> x, std::size_t m,
+                           double r_frac) {
+  return template_entropies(x, stddev(x), m, r_frac).approximate;
+}
+
+double sample_entropy(std::span<const double> x, std::size_t m, double r_frac) {
+  return template_entropies(x, stddev(x), m, r_frac).sample;
+}
+
+double binned_entropy(std::span<const double> x, const Moments& mo,
+                      std::size_t bins) {
   if (x.empty() || bins == 0) return kNaN;
-  const double lo = minimum(x);
-  const double hi = maximum(x);
+  const double lo = mo.min;
+  const double hi = mo.max;
   if (hi - lo < 1e-300) return 0.0;
 
   std::vector<double> counts(bins, 0.0);
@@ -91,6 +94,10 @@ double binned_entropy(std::span<const double> x, std::size_t bins) {
   const double inv_n = 1.0 / static_cast<double>(x.size());
   for (auto& c : counts) c *= inv_n;
   return shannon_entropy(counts);
+}
+
+double binned_entropy(std::span<const double> x, std::size_t bins) {
+  return binned_entropy(x, moments(x), bins);
 }
 
 double shannon_entropy(std::span<const double> probs) noexcept {

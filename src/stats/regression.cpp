@@ -12,7 +12,7 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 }
 
-LinearTrend linear_trend(std::span<const double> y) noexcept {
+LinearTrend linear_trend(std::span<const double> y, double y_mean) noexcept {
   LinearTrend out;
   const std::size_t n = y.size();
   if (n < 2) {
@@ -22,7 +22,6 @@ LinearTrend linear_trend(std::span<const double> y) noexcept {
 
   const double tn = static_cast<double>(n);
   const double t_mean = (tn - 1.0) / 2.0;
-  const double y_mean = mean(y);
 
   double sxx = 0.0;
   double sxy = 0.0;
@@ -50,6 +49,10 @@ LinearTrend linear_trend(std::span<const double> y) noexcept {
     out.stderr_ = 0.0;
   }
   return out;
+}
+
+LinearTrend linear_trend(std::span<const double> y) noexcept {
+  return linear_trend(y, mean(y));
 }
 
 double pearson(std::span<const double> a, std::span<const double> b) noexcept {

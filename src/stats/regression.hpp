@@ -13,8 +13,9 @@ struct LinearTrend {
   double stderr_ = 0.0;  // standard error of the slope estimate
 };
 
-/// Fits y = slope·t + intercept with t = 0..n-1. NaN fields for n < 2 or
-/// zero variance.
+/// Fits y = slope·t + intercept with t = 0..n-1, given y_mean = mean(y).
+/// NaN fields for n < 2 or zero variance.
+LinearTrend linear_trend(std::span<const double> y, double y_mean) noexcept;
 LinearTrend linear_trend(std::span<const double> y) noexcept;
 
 /// Pearson correlation of two equal-length series.

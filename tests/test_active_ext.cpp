@@ -16,9 +16,9 @@
 #include "active/learner.hpp"
 #include "active/stream.hpp"
 #include "common/rng.hpp"
+#include "common/temp_dir.hpp"
 #include "ml/metrics.hpp"
 #include "ml/random_forest.hpp"
-#include "temp_dir.hpp"
 
 namespace alba {
 namespace {

@@ -27,9 +27,9 @@
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
+#include "common/temp_dir.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
-#include "temp_dir.hpp"
 
 namespace alba {
 namespace {

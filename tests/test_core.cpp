@@ -8,11 +8,11 @@
 
 #include "common/csv.hpp"
 #include "common/log.hpp"
+#include "common/temp_dir.hpp"
 #include "core/experiments.hpp"
 #include "core/proctor.hpp"
 #include "core/dataset_io.hpp"
 #include "core/report.hpp"
-#include "temp_dir.hpp"
 
 namespace alba {
 namespace {

@@ -12,13 +12,13 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/temp_dir.hpp"
 #include "core/pipeline.hpp"
 #include "ml/grid_search.hpp"
 #include "serving/chaos.hpp"
 #include "serving/fleet.hpp"
 #include "serving/model_bundle.hpp"
 #include "telemetry/run_generator.hpp"
-#include "temp_dir.hpp"
 
 namespace alba {
 namespace {

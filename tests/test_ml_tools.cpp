@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "common/temp_dir.hpp"
 #include "ml/gbm.hpp"
 #include "ml/grid_search.hpp"
 #include "ml/logreg.hpp"
@@ -14,7 +15,6 @@
 #include "ml/mlp.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/serialize.hpp"
-#include "temp_dir.hpp"
 
 namespace alba {
 namespace {

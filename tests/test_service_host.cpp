@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/temp_dir.hpp"
 #include "core/pipeline.hpp"
 #include "ml/grid_search.hpp"
 #include "serving/chaos.hpp"
@@ -20,7 +21,6 @@
 #include "serving/model_bundle.hpp"
 #include "serving/service_host.hpp"
 #include "telemetry/run_generator.hpp"
-#include "temp_dir.hpp"
 
 namespace alba {
 namespace {

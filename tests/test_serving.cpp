@@ -16,13 +16,13 @@
 #include "common/csv.hpp"
 
 #include "common/error.hpp"
+#include "common/temp_dir.hpp"
 #include "core/pipeline.hpp"
 #include "ml/grid_search.hpp"
 #include "ml/serialize.hpp"
 #include "serving/diagnosis_service.hpp"
 #include "serving/model_bundle.hpp"
 #include "telemetry/run_generator.hpp"
-#include "temp_dir.hpp"
 
 namespace alba {
 namespace {
@@ -387,6 +387,37 @@ TEST(DiagnosisService, CacheCapacityZeroDisablesCaching) {
   EXPECT_EQ(again.probs, first.probs);  // same answer, recomputed
 }
 
+TEST(DiagnosisService, InfiniteCellsServeLikeMissingOnes) {
+  // The wire carries readings bit-exact, so a window can hold ±inf. In
+  // every metric: two +inf counter readings in a row, or a gauge gap
+  // +inf, NaN, -inf. The verdict must equal the one for the same cells
+  // set to NaN (missing).
+  const ServingEnv& e = env();
+  const std::vector<Sample> samples = fresh_samples(e, 1, 884);
+  ServingConfig serving;
+  serving.cache_capacity = 0;
+  DiagnosisService service(load_from_bytes(e.bundle_bytes), serving);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix with_inf = samples[0].series;
+  Matrix with_nan = with_inf;
+  for (std::size_t j = 0; j < with_inf.cols(); ++j) {
+    if (service.registry().metric(j).kind == MetricKind::Counter) {
+      with_inf(10, j) = with_inf(11, j) = inf;
+      with_nan(10, j) = with_nan(11, j) = nan;
+    } else {
+      with_inf(10, j) = inf;
+      with_inf(11, j) = nan;
+      with_inf(12, j) = -inf;
+      with_nan(10, j) = with_nan(11, j) = with_nan(12, j) = nan;
+    }
+  }
+  const Diagnosis got = service.diagnose(with_inf);
+  const Diagnosis want = service.diagnose(with_nan);
+  EXPECT_EQ(got.label, want.label);
+  EXPECT_EQ(got.probs, want.probs);
+}
+
 TEST(DiagnosisService, RejectsMalformedWindows) {
   const ServingEnv& e = env();
   DiagnosisService service(load_from_bytes(e.bundle_bytes));
@@ -394,6 +425,29 @@ TEST(DiagnosisService, RejectsMalformedWindows) {
   EXPECT_THROW(service.diagnose(Matrix(40, 3)), Error);
   // Too few timesteps for the configured trim.
   EXPECT_THROW(service.diagnose(Matrix(2, service.registry().size())), Error);
+}
+
+TEST(DiagnosisService, RejectsFeaturesItsExtractorDoesNotProduce) {
+  const ServingEnv& e = env();
+  const ModelBundle good = load_from_bytes(e.bundle_bytes);
+  const auto sel = static_cast<std::size_t>(good.selected.at(0));
+  const std::string metric = good.feature_names[sel].substr(
+      0, good.feature_names[sel].rfind('|'));
+  for (const std::string& bad :
+       std::vector<std::string>{metric + "|no_such_feature",
+                                "no_such_metric|mean", metric, "|mean",
+                                metric + "|"}) {
+    ModelBundle bundle = load_from_bytes(e.bundle_bytes);
+    bundle.feature_names[sel] = bad;
+    try {
+      DiagnosisService service(std::move(bundle));
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& err) {
+      EXPECT_NE(std::string(err.what()).find("not produced"),
+                std::string::npos)
+          << err.what();
+    }
+  }
 }
 
 TEST(DiagnosisService, LabelNamesComeFromTheBundle) {

@@ -43,6 +43,36 @@ TEST(Descriptive, MedianAndQuantiles) {
   EXPECT_DOUBLE_EQ(quantile(two, 0.3), 3.0);
 }
 
+TEST(Descriptive, QuantileSortedEndpointsAreTheExtremes) {
+  const std::vector<double> sorted{-0.0, 0.0, 1.5, 2.0, 9.25};
+  EXPECT_TRUE(std::signbit(quantile_sorted(sorted, 0.0)));
+  EXPECT_EQ(quantile_sorted(sorted, 0.0), -0.0);
+  EXPECT_EQ(quantile_sorted(sorted, 1.0), 9.25);
+  const std::vector<double> one{4.5};
+  EXPECT_EQ(quantile_sorted(one, 0.0), 4.5);
+  EXPECT_EQ(quantile_sorted(one, 1.0), 4.5);
+  EXPECT_TRUE(std::isnan(quantile_sorted({}, 0.5)));
+  // quantile sorts a copy, then interpolates the same way.
+  const std::vector<double> shuffled{9.25, 1.5, -0.0, 2.0, 0.0};
+  for (const double q : {0.0, 0.1, 0.25, 0.5, 0.9, 1.0}) {
+    EXPECT_EQ(quantile(shuffled, q), quantile_sorted(sorted, q)) << q;
+  }
+}
+
+TEST(Descriptive, MomentsMatchTheSingleStatistics) {
+  const Moments mo = moments(kSimple);
+  EXPECT_EQ(mo.n, 5u);
+  EXPECT_EQ(mo.sum, sum(kSimple));
+  EXPECT_EQ(mo.ssd, 10.0);
+  EXPECT_EQ(mo.range, 4.0);
+  EXPECT_EQ(mo.energy, abs_energy(kSimple));
+  const Moments empty = moments({});
+  EXPECT_EQ(empty.sum, 0.0);
+  EXPECT_TRUE(std::isnan(empty.mean));
+  EXPECT_TRUE(std::isnan(empty.stddev));
+  EXPECT_TRUE(std::isnan(empty.range));
+}
+
 TEST(Descriptive, SkewnessSignsMatchShape) {
   const std::vector<double> right{1, 1, 1, 1, 10};
   const std::vector<double> left{10, 10, 10, 10, 1};

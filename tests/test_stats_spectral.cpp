@@ -2,7 +2,9 @@
 // chi-square scoring, and histograms.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
 #include "linalg/matrix.hpp"
@@ -171,6 +173,74 @@ TEST(Entropy, ShannonOfUniform) {
   EXPECT_DOUBLE_EQ(shannon_entropy(certain), 0.0);
 }
 
+// The entropies by their definitions: template pairs compared on the
+// Chebyshev distance, one full sweep per template length.
+std::size_t naive_matches(std::span<const double> x, std::size_t i,
+                          std::size_t j, std::size_t len, double r) {
+  double d = 0.0;
+  for (std::size_t k = 0; k < len; ++k) {
+    d = std::max(d, std::abs(x[i + k] - x[j + k]));
+  }
+  return d <= r ? 1 : 0;
+}
+
+double naive_apen_phi(std::span<const double> x, std::size_t len, double r) {
+  const std::size_t count = x.size() - len + 1;
+  double acc = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::size_t c = 0;
+    for (std::size_t j = 0; j < count; ++j) c += naive_matches(x, i, j, len, r);
+    acc += std::log(static_cast<double>(c) / static_cast<double>(count));
+  }
+  return acc / static_cast<double>(count);
+}
+
+double naive_sampen(std::span<const double> x, std::size_t m, double r) {
+  std::size_t a = 0;
+  std::size_t b = 0;
+  for (std::size_t i = 0; i + m < x.size(); ++i) {
+    for (std::size_t j = i + 1; j + m < x.size(); ++j) {
+      b += naive_matches(x, i, j, m, r);
+      a += naive_matches(x, i, j, m + 1, r);
+    }
+  }
+  if (a == 0 || b == 0) return std::numeric_limits<double>::quiet_NaN();
+  return -std::log(static_cast<double>(a) / static_cast<double>(b));
+}
+
+TEST(Entropy, FusedSweepMatchesDefinitionIncludingTiesAtR) {
+  // Integer series with r = 1 exactly: many template distances equal r, so
+  // the <= r boundary decides most matches.
+  Rng rng(11);
+  for (const std::size_t n : {5, 8, 13, 48, 64}) {
+    std::vector<double> x(n);
+    for (auto& v : x) v = std::floor(rng.uniform(0.0, 4.0));
+    for (const std::size_t m : {1, 2, 3}) {
+      if (n < m + 2) continue;
+      const TemplateEntropies got = template_entropies(x, 1.0, m, 1.0);
+      EXPECT_EQ(got.approximate,
+                naive_apen_phi(x, m, 1.0) - naive_apen_phi(x, m + 1, 1.0))
+          << "n=" << n << " m=" << m;
+      const double want = naive_sampen(x, m, 1.0);
+      if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(got.sample));
+      } else {
+        EXPECT_EQ(got.sample, want) << "n=" << n << " m=" << m;
+      }
+    }
+  }
+}
+
+TEST(Entropy, DegenerateSeriesFollowEachEntropysConvention) {
+  const std::vector<double> constant(16, 2.0);
+  const TemplateEntropies flat = template_entropies(constant, 0.0, 2, 0.2);
+  EXPECT_EQ(flat.approximate, 0.0);
+  EXPECT_TRUE(std::isnan(flat.sample));
+  const std::vector<double> short_series{1.0, 2.0, 3.0};
+  EXPECT_EQ(approximate_entropy(short_series), 0.0);
+  EXPECT_TRUE(std::isnan(sample_entropy(short_series)));
+}
+
 // ------------------------------------------------------------- autocorr ---
 
 TEST(Autocorr, LagZeroIsOne) {
@@ -211,6 +281,56 @@ TEST(Autocorr, Pacf) {
   }
   EXPECT_NEAR(partial_autocorrelation(x, 1), phi, 0.05);
   EXPECT_NEAR(partial_autocorrelation(x, 3), 0.0, 0.08);
+}
+
+// PACF at `lag` by its own Durbin–Levinson recursion over acf(x, lag).
+double per_lag_pacf(std::span<const double> x, std::size_t lag) {
+  if (x.size() < lag + 1) return std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> rho = acf(x, lag);
+  for (double r : rho) {
+    if (std::isnan(r)) return std::numeric_limits<double>::quiet_NaN();
+  }
+  std::vector<double> prev(lag + 1, 0.0);
+  std::vector<double> cur(lag + 1, 0.0);
+  prev[1] = rho[1];
+  for (std::size_t k = 2; k <= lag; ++k) {
+    double num = rho[k];
+    double den = 1.0;
+    for (std::size_t j = 1; j < k; ++j) {
+      num -= prev[j] * rho[k - j];
+      den -= prev[j] * rho[j];
+    }
+    if (std::abs(den) < 1e-300) return std::numeric_limits<double>::quiet_NaN();
+    cur[k] = num / den;
+    for (std::size_t j = 1; j < k; ++j) cur[j] = prev[j] - cur[k] * prev[k - j];
+    prev = cur;
+  }
+  return prev[lag];
+}
+
+TEST(Autocorr, PacfFromOneAcfVectorMatchesPerLagRecursion) {
+  Rng rng(12);
+  std::vector<std::vector<double>> series;
+  for (const std::size_t n : {6, 9, 48, 116}) {
+    std::vector<double> x(n);
+    double prev = 0.0;
+    for (auto& v : x) v = prev = 0.6 * prev + rng.normal();
+    series.push_back(x);
+  }
+  series.emplace_back(20, 3.0);  // constant: every lag NaN
+  constexpr std::size_t kLags = 8;
+  for (const auto& x : series) {
+    std::vector<double> fused(kLags);
+    partial_autocorrelations(acf(x, kLags), fused);
+    for (std::size_t lag = 1; lag <= kLags; ++lag) {
+      const double want = per_lag_pacf(x, lag);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(fused[lag - 1]),
+                std::bit_cast<std::uint64_t>(want))
+          << "n=" << x.size() << " lag=" << lag;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(partial_autocorrelation(x, lag)),
+                std::bit_cast<std::uint64_t>(want));
+    }
+  }
 }
 
 TEST(Autocorr, AggAutocorrelation) {

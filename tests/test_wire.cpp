@@ -20,6 +20,7 @@
 
 #include "common/csv.hpp"
 #include "common/rng.hpp"
+#include "common/temp_dir.hpp"
 #include "streaming/ingest.hpp"
 #include "streaming/ingest_server.hpp"
 #include "telemetry/registry.hpp"
@@ -27,7 +28,6 @@
 #include "wire/client.hpp"
 #include "wire/frame.hpp"
 #include "wire/transport.hpp"
-#include "temp_dir.hpp"
 
 namespace alba {
 namespace {
