@@ -1,9 +1,13 @@
 // Fleet benchmark: a seeded traffic generator driving a replicated
 // ServingFleet, sweeping replica count x routing policy x chaos and
 // reporting per-replica and aggregate stats (served/spilled/failovers,
-// p50/p99, cache hit rate). The sweep is where consistent-hash routing
-// earns its keep: the same traffic through RoundRobin scatters repeat
-// windows across replicas and the per-replica LRU caches stay cold.
+// windows/s, client-observed p50/p99, cache hit rate). The sweep is where
+// consistent-hash routing earns its keep: the same traffic through
+// RoundRobin scatters repeat windows across replicas and the per-replica
+// LRU caches stay cold. Each replica count also gets a single-host
+// baseline row: one ServiceHost with the fleet's total workers over one
+// DiagnosisService with the fleet's total cache capacity, driven by the
+// same stream and clients — what the fleet must beat to earn its code.
 //
 // --smoke runs the CI gate instead of the sweep: routing determinism
 // under a fixed seed (two same-seed fleets route identically), request
@@ -87,6 +91,8 @@ std::vector<Matrix> make_stream(const RunGenerator& generator,
   return windows;
 }
 
+constexpr std::size_t kHostWorkers = 2;  // per replica
+
 std::unique_ptr<ServingFleet> make_fleet(std::size_t replicas,
                                          RoutingPolicy policy,
                                          std::uint64_t seed,
@@ -101,51 +107,84 @@ std::unique_ptr<ServingFleet> make_fleet(std::size_t replicas,
   FleetConfig config;
   config.routing = policy;
   config.seed = seed;
-  config.host.workers = 2;
+  config.host.workers = kHostWorkers;
   config.host.queue_capacity = 32;
   return std::make_unique<ServingFleet>(std::move(services), config);
+}
+
+// The single-host baseline for a `replicas`-wide fleet: the same total
+// workers and the same total cache capacity, in one host over one service.
+std::unique_ptr<ServiceHost> make_single_host(std::size_t replicas,
+                                              ServingChaos* chaos = nullptr) {
+  ServingConfig serving;
+  serving.cache_capacity *= replicas;
+  if (chaos != nullptr) serving.extraction_hook = chaos->hook();
+  HostConfig config;
+  config.workers = replicas * kHostWorkers;
+  config.queue_capacity = 32;
+  return std::make_unique<ServiceHost>(
+      std::make_shared<DiagnosisService>(load_model_bundle_file(bundle_a()),
+                                         serving),
+      config);
 }
 
 struct TrafficTally {
   std::size_t calls = 0;
   std::size_t ok = 0;
   std::size_t failed = 0;
-  std::size_t all_shed = 0;
+  std::size_t shed = 0;     // typed rejections
   std::size_t untyped = 0;  // exceptions or unknown statuses: always a bug
+  double seconds = 0.0;     // wall time of the whole drive
+  std::vector<double> latency_ms;  // client-observed, one per call
 };
 
 // `clients` threads interleave over the stream for `rounds` passes; every
 // outcome is tallied so the gates can prove conservation.
-TrafficTally drive(ServingFleet& fleet, const std::vector<Matrix>& windows,
+TrafficTally drive(Diagnoser& tier, const std::vector<Matrix>& windows,
                    std::size_t clients, int rounds) {
-  std::atomic<std::size_t> ok{0}, failed{0}, all_shed{0}, untyped{0};
+  std::atomic<std::size_t> ok{0}, failed{0}, shed{0}, untyped{0};
+  std::vector<std::vector<double>> latencies(clients);
   std::vector<std::thread> threads;
+  const auto start = std::chrono::steady_clock::now();
   for (std::size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       for (int round = 0; round < rounds; ++round) {
         for (std::size_t i = c; i < windows.size(); i += clients) {
+          const auto sent = std::chrono::steady_clock::now();
           try {
-            const FleetResult r = fleet.diagnose(windows[i]);
-            switch (r.status) {
-              case FleetStatus::Ok: ++ok; break;
-              case FleetStatus::Failed: ++failed; break;
-              case FleetStatus::AllShed: ++all_shed; break;
-              default: ++untyped; break;
+            const DiagnosisResult r = tier.diagnose({&windows[i]});
+            if (r.ok()) {
+              ++ok;
+            } else if (r.status == RequestStatus::Failed) {
+              ++failed;
+            } else if (is_rejection(r.status)) {
+              ++shed;
+            } else {
+              ++untyped;
             }
           } catch (...) {
             ++untyped;
           }
+          latencies[c].push_back(std::chrono::duration<double, std::milli>(
+                                     std::chrono::steady_clock::now() - sent)
+                                     .count());
         }
       }
     });
   }
   for (auto& t : threads) t.join();
   TrafficTally tally;
+  tally.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
   tally.ok = ok;
   tally.failed = failed;
-  tally.all_shed = all_shed;
+  tally.shed = shed;
   tally.untyped = untyped;
-  tally.calls = tally.ok + tally.failed + tally.all_shed + tally.untyped;
+  tally.calls = tally.ok + tally.failed + tally.shed + tally.untyped;
+  for (const auto& l : latencies) {
+    tally.latency_ms.insert(tally.latency_ms.end(), l.begin(), l.end());
+  }
   return tally;
 }
 
@@ -272,10 +311,10 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
         for (int round = 0; round < kRounds; ++round) {
           for (std::size_t i = c; i < windows.size(); i += kClients) {
             try {
-              const FleetResult r = fleet->diagnose(windows[i]);
-              if (r.status == FleetStatus::Ok) ++ok;
-              else if (r.status == FleetStatus::Failed) ++failed;
-              else if (r.status == FleetStatus::AllShed) ++all_shed;
+              const DiagnosisResult r = fleet->diagnose({&windows[i]});
+              if (r.ok()) ++ok;
+              else if (r.status == RequestStatus::Failed) ++failed;
+              else if (is_rejection(r.status)) ++all_shed;
               else ++untyped;
             } catch (...) {
               ++untyped;
@@ -310,7 +349,7 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
     // (probes while it was merely ejected-but-alive were legitimate).
     const std::uint64_t probes_at_kill = s.replicas[victim].probes;
     for (std::size_t i = 0; i < 16; ++i) {
-      const FleetResult r = fleet->diagnose(windows[i % windows.size()]);
+      const DiagnosisResult r = fleet->diagnose({&windows[i % windows.size()]});
       check(r.ok() && r.replica != victim, "post-kill request hit the corpse");
     }
     check(fleet->stats().replicas[victim].probes == probes_at_kill,
@@ -362,8 +401,8 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
       check(fleet->host(r).generation() == 1,
             "a replica changed generation under a poisoned push");
     }
-    const FleetResult after = fleet->diagnose(windows[2]);
-    check(after.ok() && after.result.generation == 1,
+    const DiagnosisResult after = fleet->diagnose({&windows[2]});
+    check(after.ok() && after.generation == 1,
           "fleet stopped serving generation 1 after the rejected push");
   }
 
@@ -392,7 +431,7 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
     RolloutDecision decision = RolloutDecision::NeedMoreTraffic;
     for (int i = 0;
          i < 2000 && decision == RolloutDecision::NeedMoreTraffic; ++i) {
-      (void)fleet->diagnose(windows[i % windows.size()]);
+      (void)fleet->diagnose({&windows[i % windows.size()]});
       decision = fleet->advance_rollout();
     }
     chaos.set_enabled(false);
@@ -420,7 +459,7 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
     RolloutDecision decision = RolloutDecision::NeedMoreTraffic;
     for (int i = 0;
          i < 2000 && decision == RolloutDecision::NeedMoreTraffic; ++i) {
-      (void)fleet->diagnose(windows[i % windows.size()]);
+      (void)fleet->diagnose({&windows[i % windows.size()]});
       decision = fleet->advance_rollout();
     }
     std::printf("[chaos-smoke] promote: %s\n",
@@ -434,9 +473,8 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
 
     // ---- phase 6: fleet drain is terminal and typed ---------------------
     fleet->drain();
-    const FleetResult shed = fleet->diagnose(windows[0]);
-    check(shed.status == FleetStatus::AllShed &&
-              shed.result.status == RequestStatus::RejectedDraining,
+    const DiagnosisResult shed = fleet->diagnose({&windows[0]});
+    check(shed.status == RequestStatus::RejectedDraining,
           "post-drain submission was not shed as draining");
     fleet->drain();  // idempotent
   }
@@ -509,8 +547,26 @@ int main(int argc, char** argv) {
   // ---- the sweep ---------------------------------------------------------
   const std::size_t clients = std::min<std::size_t>(
       4, std::max<std::size_t>(2, std::thread::hardware_concurrency()));
-  TextTable table({"replicas", "policy", "chaos", "served", "spilled",
-                   "failovers", "p50 ms", "p99 ms", "cache hit %"});
+  TextTable table({"replicas", "tier", "chaos", "served", "spilled",
+                   "failovers", "win/s", "p50 ms", "p99 ms", "cache hit %"});
+  const auto add_row = [&table](std::size_t replicas, std::string tier,
+                                std::string chaos, const TrafficTally& t,
+                                std::string spilled, std::string failovers,
+                                double hit_rate) {
+    table.add_row({std::to_string(replicas), std::move(tier),
+                   std::move(chaos), std::to_string(t.ok), std::move(spilled),
+                   std::move(failovers),
+                   strformat("%.0f", static_cast<double>(t.ok) / t.seconds),
+                   strformat("%.3f", latency_percentile(t.latency_ms, 0.50)),
+                   strformat("%.3f", latency_percentile(t.latency_ms, 0.99)),
+                   strformat("%.1f", 100.0 * hit_rate)});
+  };
+  // The chaos rows' fault rates: the fleet injects them on replica 0, the
+  // single host (which has no replica 0 to isolate) on every extraction.
+  ChaosConfig chaos_rates;
+  chaos_rates.slow_extract_rate = 0.3;
+  chaos_rates.slow_extract_ms = 2.0;
+  chaos_rates.extract_fail_rate = 0.05;
   std::unique_ptr<ServingFleet> last_fleet;
   for (const std::size_t replicas : {2u, 4u}) {
     for (const RoutingPolicy policy :
@@ -519,26 +575,32 @@ int main(int argc, char** argv) {
         std::unique_ptr<FleetChaos> chaos;
         if (chaotic) {
           FleetChaosConfig chaos_config;
-          chaos_config.base.slow_extract_rate = 0.3;
-          chaos_config.base.slow_extract_ms = 2.0;
-          chaos_config.base.extract_fail_rate = 0.05;
+          chaos_config.base = chaos_rates;
           chaos_config.targets = {0};
           chaos_config.seed = seed + replicas;
           chaos = std::make_unique<FleetChaos>(chaos_config, replicas);
         }
         auto fleet = make_fleet(replicas, policy, seed, chaos.get());
-        drive(*fleet, stream, clients, 2);
+        const TrafficTally tally = drive(*fleet, stream, clients, 2);
         const FleetStats s = fleet->stats();
-        table.add_row({std::to_string(replicas),
-                       std::string(to_string(policy)),
-                       chaotic ? "slow+fail@0" : "off",
-                       std::to_string(s.served), std::to_string(s.spilled),
-                       std::to_string(s.failovers),
-                       strformat("%.3f", s.p50_ms),
-                       strformat("%.3f", s.p99_ms),
-                       strformat("%.1f", 100.0 * fleet_hit_rate(s))});
+        add_row(replicas, "fleet " + std::string(to_string(policy)),
+                chaotic ? "slow+fail@0" : "off", tally,
+                std::to_string(s.spilled), std::to_string(s.failovers),
+                fleet_hit_rate(s));
         last_fleet = std::move(fleet);
       }
+    }
+    for (const bool chaotic : {false, true}) {
+      std::unique_ptr<ServingChaos> chaos;
+      if (chaotic) {
+        ChaosConfig chaos_config = chaos_rates;
+        chaos_config.seed = seed + replicas;
+        chaos = std::make_unique<ServingChaos>(chaos_config);
+      }
+      auto host = make_single_host(replicas, chaos.get());
+      const TrafficTally tally = drive(*host, stream, clients, 2);
+      add_row(replicas, "single host", chaotic ? "slow+fail@all" : "off",
+              tally, "-", "-", host->service()->stats().hit_rate());
     }
   }
   std::printf("\nfleet sweep over %zu windows x 2 rounds, %zu clients\n%s\n",

@@ -172,7 +172,8 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
           try {
             const Deadline deadline = Deadline::at(
                 Deadline::Clock::now() + budget);
-            const HostResult r = host.diagnose(stream.windows[i], deadline);
+            const DiagnosisResult r =
+                host.diagnose({&stream.windows[i], deadline});
             if (r.ok()) {
               ++ok;
               if (deadline.expired()) ++late_ok;
@@ -232,8 +233,8 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
     for (std::size_t c = 0; c < kClients; ++c) {
       clients.emplace_back([&, c] {
         try {
-          const HostResult r =
-              host.diagnose(stream.windows[c], Deadline::after_ms(5.0));
+          const DiagnosisResult r =
+              host.diagnose({&stream.windows[c], Deadline::after_ms(5.0)});
           if (r.ok()) ++ok;
           if (is_rejection(r.status)) ++shed;
         } catch (...) {
@@ -258,7 +259,7 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
   {
     ServiceHost host(make_chaos_free());
     host.set_probe_windows({stream.windows[0], stream.windows[1]});
-    const HostResult before = host.diagnose(stream.windows[2]);
+    const DiagnosisResult before = host.diagnose({&stream.windows[2]});
     check(before.ok(), "reload phase: baseline request failed");
 
     for (const auto& [poison, name] :
@@ -270,7 +271,7 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
                   report.summary().c_str());
       check(!report.ok && report.rolled_back,
             "poisoned bundle was accepted");
-      const HostResult after = host.diagnose(stream.windows[2]);
+      const DiagnosisResult after = host.diagnose({&stream.windows[2]});
       check(after.ok() && after.generation == 1 &&
                 same_diagnosis(after.diagnosis, before.diagnosis),
             "rollback did not leave the old bundle serving bit-identically");
@@ -283,21 +284,21 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
     std::printf("[chaos-smoke] reload(bit-flip): %s\n",
                 flip.summary().c_str());
     check(flip.ok != flip.rolled_back, "bit-flip reload in limbo");
-    check(host.diagnose(stream.windows[2]).ok(),
+    check(host.diagnose({&stream.windows[2]}).ok(),
           "host stopped serving after a bit-flip push");
 
     // And a genuine upgrade still goes through after all that abuse.
     const ReloadReport good = host.reload_from_file(bundle_path());
     check(good.ok && host.generation() == good.generation,
           "clean reload failed after poisoned pushes");
-    const HostResult upgraded = host.diagnose(stream.windows[2]);
+    const DiagnosisResult upgraded = host.diagnose({&stream.windows[2]});
     check(upgraded.ok() && upgraded.generation == good.generation &&
               same_diagnosis(upgraded.diagnosis, before.diagnosis),
           "reloaded bundle does not serve bit-identically");
 
     // ---- phase 4: drain is terminal and typed ---------------------------
     host.drain();
-    check(host.diagnose(stream.windows[0]).status ==
+    check(host.diagnose({&stream.windows[0]}).status ==
               RequestStatus::RejectedDraining,
           "post-drain submission was not shed as draining");
     check(host.health() == HostHealth::Draining, "drain left wrong health");

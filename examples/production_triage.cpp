@@ -9,7 +9,9 @@
 // stuck sensors, NaN bursts). Mid-morning, operations pushes a model
 // update: first a corrupted artifact (rejected and rolled back by probe
 // validation), then the real one (atomic swap, next generation). The day
-// ends with a graceful drain.
+// ends with a graceful drain. Exits 1 if the corrupted push is not rolled
+// back, the fixed push does not reach generation 2, or the post-drain
+// request is not shed as rejected:draining.
 //
 // Build & run:  ./build/examples/production_triage
 #include <cstdio>
@@ -53,10 +55,10 @@ int main() {
   export_model_bundle(bundle_path, data, prepared, learner.model());
 
   // ---- deployment phase --------------------------------------------------
-  // The endpoint: bounded queue, two workers, a default deadline so a
-  // stuck pipeline pass can never hold a caller forever. diagnose() always
-  // returns a typed HostResult — overload and deadline misses are
-  // statuses, not exceptions.
+  // The endpoint: bounded queue and two workers. Every request carries a
+  // 250 ms deadline, so a stuck pipeline pass can never hold a caller
+  // forever. diagnose() always returns a typed DiagnosisResult — overload
+  // and deadline misses are statuses, not exceptions.
   std::printf("[deploy] hosting %s behind admission control\n\n",
               bundle_path.c_str());
   ServingConfig serving;
@@ -64,7 +66,9 @@ int main() {
   HostConfig host_config;
   host_config.workers = 2;
   host_config.queue_capacity = 16;
-  host_config.default_deadline_ms = 250.0;
+  const auto within_budget = [](const Matrix& window) {
+    return DiagnoseRequest{&window, Deadline::after_ms(250.0)};
+  };
   ServiceHost host(std::make_shared<DiagnosisService>(
                        load_model_bundle_file(bundle_path), serving),
                    host_config);
@@ -100,7 +104,8 @@ int main() {
     std::printf("run %3d  %-10s input %d, %d nodes:\n", spec.run_id,
                 app.c_str(), spec.input_id, spec.nodes);
     for (std::size_t node = 0; node < samples.size(); ++node) {
-      const HostResult r = host.diagnose(samples[node].series);
+      const DiagnosisResult r =
+          host.diagnose(within_budget(samples[node].series));
       if (!r.ok()) {  // shed or failed — typed, never an exception
         std::printf("    node %zu: [%s] %s\n", node,
                     std::string(to_string(r.status)).c_str(),
@@ -147,7 +152,8 @@ int main() {
 
   const ReloadReport good_push = host.reload_from_file(bundle_path);
   std::printf("[reload] fixed push:     %s\n", good_push.summary().c_str());
-  const HostResult after = host.diagnose(recheck[0].series);
+  const DiagnosisResult after =
+      host.diagnose(within_budget(recheck[0].series));
   std::printf("[reload] generation %llu now serving (recheck: %s)\n",
               static_cast<unsigned long long>(host.generation()),
               after.ok()
@@ -159,10 +165,25 @@ int main() {
   // Everything admitted finishes; everything after is shed with a typed
   // status a load balancer can act on.
   host.drain();
-  const HostResult post_drain = host.diagnose(recheck[0].series);
+  const DiagnosisResult post_drain =
+      host.diagnose(within_budget(recheck[0].series));
   std::printf("\n[drain] host %s; post-drain request -> %s\n",
               std::string(to_string(host.health())).c_str(),
               std::string(to_string(post_drain.status)).c_str());
   std::printf("[host] %s\n", format_host_summary(host.stats()).c_str());
-  return 0;
+
+  int missing = 0;
+  const auto expect = [&missing](bool happened, const char* what) {
+    if (!happened) {
+      std::printf("[triage] MISSING: %s\n", what);
+      ++missing;
+    }
+  };
+  expect(bad_push.rolled_back && !bad_push.ok,
+         "the corrupted push was not rolled back");
+  expect(good_push.ok && host.generation() == 2,
+         "the fixed push did not reach generation 2");
+  expect(post_drain.status == RequestStatus::RejectedDraining,
+         "the post-drain request was not rejected:draining");
+  return missing == 0 ? 0 : 1;
 }

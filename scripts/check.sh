@@ -2,7 +2,9 @@
 # Repo check: the tier-1 build + test suite, the same suite again under
 # `ctest -j --schedule-random --repeat until-fail:3` (test processes run
 # in parallel in a shuffled order, so a test that leans on another's
-# files or timing fails here), a serving smoke run (train a
+# files or timing fails here), the production_triage example (exits 1
+# unless a corrupted push rolls back, the fixed push reaches generation
+# 2 and a post-drain request is shed as draining), a serving smoke run (train a
 # tiny model, export a bundle, serve 100 windows, assert bit-identical
 # agreement with the offline pipeline), a serving chaos smoke (burst a
 # ServiceHost under injected slow/failing extractions and poisoned bundle
@@ -50,6 +52,10 @@ echo
 echo "== tier 1 shuffled: parallel random order, each test up to 3 times =="
 (cd build && ctest --output-on-failure -j"$(nproc)" --schedule-random \
   --repeat until-fail:3)
+
+echo
+echo "== example smoke: production triage (rollback, generation 2, typed drain) =="
+./build/examples/production_triage > /dev/null
 
 echo
 echo "== serving smoke: export bundle + serve 100 windows =="

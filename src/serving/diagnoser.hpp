@@ -1,11 +1,7 @@
 // The unified serving interface: one request/response contract implemented
-// by every serving tier. The three tiers grew three incompatible entry
-// points — DiagnosisService::diagnose returns a Diagnosis and throws,
-// ServiceHost::diagnose returns a HostResult with typed shedding, and
-// ServingFleet::diagnose returns a FleetResult wrapping a HostResult. A
-// front end that feeds windows into serving (the streaming trigger in
-// src/streaming, a replay tool, a test harness) had to special-case all
-// three. Diagnoser collapses them:
+// by every serving tier. A front end that feeds windows into serving (the
+// streaming trigger in src/streaming, a replay tool, a test harness) is
+// written once against it:
 //
 //   DiagnoseRequest  — a borrowed window view plus a deadline;
 //   DiagnosisResult  — a typed RequestStatus, the Diagnosis when Ok, and
@@ -22,10 +18,10 @@
 //   * a tier without a concept fills the neutral value (a bare
 //     DiagnosisService reports generation 1, replica 0, attempts 1).
 //
-// The per-tier convenience overloads (HostResult, FleetResult) remain the
-// Tier-2 surface for callers that need tier-specific fields; new code and
-// anything generic over tiers should use this interface, including the
-// free diagnose_with_retry, which works against any tier.
+// ServiceHost and ServingFleet have no other diagnose entry point.
+// DiagnosisService keeps its library call `Diagnosis diagnose(const
+// Matrix&)`, which throws instead of answering with a status. The free
+// diagnose_with_retry works against any tier.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +72,7 @@ bool is_retriable(RequestStatus status) noexcept;
 /// One diagnosis request: a borrowed view of the raw T x M window plus the
 /// deadline it must answer by. The window must stay alive for the duration
 /// of the diagnose call (every tier's diagnose blocks, so a stack-owned
-/// window is fine). A never() deadline lets tiers with a configured
-/// default_deadline_ms apply it, matching their legacy overloads.
+/// window is fine). A never() deadline means no deadline.
 struct DiagnoseRequest {
   const Matrix* window = nullptr;
   Deadline deadline = Deadline::never();
@@ -86,7 +81,8 @@ struct DiagnoseRequest {
 /// One request's uniform outcome. `diagnosis` is meaningful only when
 /// `status == Ok`; `generation` names the bundle that served it (0 = never
 /// served); `replica`/`attempts`/`spilled` are fleet provenance (replica 0,
-/// attempts 1, spilled false from single-instance tiers); timings cover
+/// attempts 1, spilled false from single-instance tiers; a fleet that
+/// sheds before trying any replica reports attempts 0); timings cover
 /// queue wait and service time where the tier tracks them.
 struct DiagnosisResult {
   RequestStatus status = RequestStatus::Failed;

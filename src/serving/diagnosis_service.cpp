@@ -155,8 +155,6 @@ DiagnosisService::DiagnosisService(ModelBundle bundle, ServingConfig config)
     if (inserted) plan_.push_back(MetricPlan{metric, {}});
     plan_[slot_it->second].outputs.emplace_back(feature, c);
   }
-
-  latency_ring_.reserve(kLatencyWindow);
 }
 
 void DiagnosisService::extract_row(const Matrix& window,
@@ -363,12 +361,7 @@ void DiagnosisService::record_request(
   if (end > span_last_) span_last_ = end;
   totals_.wall_seconds =
       std::chrono::duration<double>(span_last_ - span_first_).count();
-  if (latency_ring_.size() < kLatencyWindow) {
-    latency_ring_.push_back(total_s * 1e3);
-  } else {
-    latency_ring_[latency_next_] = total_s * 1e3;
-  }
-  latency_next_ = (latency_next_ + 1) % kLatencyWindow;
+  latency_.push(Outcome{.total_ms = total_s * 1e3});
 }
 
 ServingStats DiagnosisService::stats() const {
@@ -378,18 +371,17 @@ ServingStats DiagnosisService::stats() const {
   // reset_stats so the snapshot window matches every other counter.
   s.collision_evictions =
       cache_.collision_evictions() - collisions_at_reset_;
-  s.latency_p50_ms = latency_percentile(latency_ring_, 0.50);
-  s.latency_p99_ms = latency_percentile(latency_ring_, 0.99);
-  s.latency_p999_ms = latency_percentile(latency_ring_, 0.999);
-  s.latency_min_ms = latency_percentile(latency_ring_, 0.0);
+  s.latency_p50_ms = latency_.percentile(&Outcome::total_ms, 0.50);
+  s.latency_p99_ms = latency_.percentile(&Outcome::total_ms, 0.99);
+  s.latency_p999_ms = latency_.percentile(&Outcome::total_ms, 0.999);
+  s.latency_min_ms = latency_.percentile(&Outcome::total_ms, 0.0);
   return s;
 }
 
 void DiagnosisService::reset_stats() {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   totals_ = ServingStats{};
-  latency_ring_.clear();
-  latency_next_ = 0;
+  latency_.clear();
   span_started_ = false;
   collisions_at_reset_ = cache_.collision_evictions();
 }

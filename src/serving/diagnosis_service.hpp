@@ -199,8 +199,7 @@ class DiagnosisService : public Diagnoser {
   // wall-clock span endpoints: first request start, latest request end.
   mutable std::mutex stats_mutex_;
   ServingStats totals_;
-  std::vector<double> latency_ring_;
-  std::size_t latency_next_ = 0;
+  OutcomeWindow latency_{kLatencyWindow};  // total_ms per request
   bool span_started_ = false;
   std::chrono::steady_clock::time_point span_first_{};
   std::chrono::steady_clock::time_point span_last_{};

@@ -15,6 +15,8 @@ namespace alba {
 namespace {
 
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+// Ring points per replica; more points = smoother arc distribution.
+constexpr std::size_t kVnodes = 64;
 
 }  // namespace
 
@@ -22,15 +24,6 @@ std::string_view to_string(RoutingPolicy policy) noexcept {
   switch (policy) {
     case RoutingPolicy::ConsistentHash: return "consistent-hash";
     case RoutingPolicy::RoundRobin: return "round-robin";
-  }
-  return "unknown";
-}
-
-std::string_view to_string(FleetStatus status) noexcept {
-  switch (status) {
-    case FleetStatus::Ok: return "ok";
-    case FleetStatus::Failed: return "failed";
-    case FleetStatus::AllShed: return "all-shed";
   }
   return "unknown";
 }
@@ -86,16 +79,17 @@ ServingFleet::ServingFleet(
     FleetConfig config)
     : config_(config) {
   ALBA_CHECK(!services.empty()) << "ServingFleet needs at least one replica";
-  ALBA_CHECK(config_.vnodes > 0) << "ServingFleet needs at least one vnode";
-  ALBA_CHECK(config_.health_window > 0 && config_.health_min_samples > 0)
-      << "fleet health window sizes must be positive";
+  ALBA_CHECK(config_.health_min_samples > 0)
+      << "fleet health_min_samples must be positive";
   ALBA_CHECK(config_.eject_error_rate >= 0.0 &&
              config_.eject_error_rate <= 1.0)
       << "eject_error_rate must be in [0, 1]";
   hosts_.reserve(services.size());
   outstanding_.reserve(services.size());
-  replicas_.resize(services.size());
+  replicas_.reserve(services.size());
   for (auto& service : services) {
+    replicas_.push_back(
+        Replica{.window = OutcomeWindow(config_.health_window)});
     hosts_.push_back(
         std::make_unique<ServiceHost>(std::move(service), config_.host));
     outstanding_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
@@ -115,7 +109,7 @@ void ServingFleet::rebuild_ring_locked() {
     // (seed, replica id, vnode index), never on join order or traffic.
     SplitMix64 sm(config_.seed ^ (static_cast<std::uint64_t>(id) + 1) *
                                      kGolden);
-    for (std::size_t v = 0; v < config_.vnodes; ++v) {
+    for (std::size_t v = 0; v < kVnodes; ++v) {
       ring_.emplace_back(sm.next(), id);
     }
   }
@@ -169,24 +163,19 @@ std::vector<std::size_t> ServingFleet::candidates_locked(
       order.push_back(preferred);
     }
     // Spill targets: the remaining in-ring replicas, least-loaded first
-    // (fleet-side in-flight count; ties break on id for determinism).
-    std::vector<std::size_t> rest;
+    // (fleet-side in-flight count; ties break on id for determinism). The
+    // counts move under concurrent requests, so sort one snapshot of them:
+    // a comparator that reads live counters is no strict weak order, and
+    // std::sort then reads past the range.
+    std::vector<std::pair<std::uint64_t, std::size_t>> rest;
     for (const std::size_t r : active) {
-      if (r != preferred) rest.push_back(r);
+      if (r != preferred) rest.emplace_back(outstanding_[r]->load(), r);
     }
-    std::sort(rest.begin(), rest.end(),
-              [this](std::size_t a, std::size_t b) {
-                const std::uint64_t la = outstanding_[a]->load();
-                const std::uint64_t lb = outstanding_[b]->load();
-                return la != lb ? la < lb : a < b;
-              });
-    order.insert(order.end(), rest.begin(), rest.end());
+    std::sort(rest.begin(), rest.end());
+    for (const auto& [load, r] : rest) order.push_back(r);
   }
   if (preferred == replicas_.size() && !order.empty()) {
     preferred = order.front();
-  }
-  if (config_.max_attempts > 0 && order.size() > config_.max_attempts) {
-    order.resize(config_.max_attempts);
   }
   return order;
 }
@@ -207,22 +196,11 @@ void ServingFleet::readmit_locked(std::size_t replica) {
   // Fresh start: the window that got it ejected must not re-trip the
   // breaker on the first post-recovery completion.
   r.window.clear();
-  r.window_next = 0;
   rebuild_ring_locked();
 }
 
-double ServingFleet::replica_percentile_locked(std::size_t replica,
-                                               double q) const {
-  std::vector<double> samples;
-  samples.reserve(replicas_[replica].window.size());
-  for (const Outcome& o : replicas_[replica].window) {
-    samples.push_back(o.total_ms);
-  }
-  return latency_percentile(samples, q);
-}
-
 void ServingFleet::record_outcome_locked(std::size_t replica,
-                                         const HostResult& r) {
+                                         const DiagnosisResult& r) {
   Replica& rep = replicas_[replica];
   const bool pipeline_outcome = r.status == RequestStatus::Ok ||
                                 r.status == RequestStatus::Failed;
@@ -235,25 +213,16 @@ void ServingFleet::record_outcome_locked(std::size_t replica,
   }
 
   if (pipeline_outcome) {
-    Outcome o;
-    o.failed = r.status == RequestStatus::Failed;
-    o.total_ms = r.total_ms;
-    if (rep.window.size() < config_.health_window) {
-      rep.window.push_back(o);
-    } else {
-      rep.window[rep.window_next] = o;
-    }
-    rep.window_next = (rep.window_next + 1) % config_.health_window;
-
+    const Outcome o{.failed = r.status == RequestStatus::Failed,
+                    .queue_ms = r.queue_ms,
+                    .total_ms = r.total_ms};
+    rep.window.push(o);
     // Rollout guard: live canary-vs-baseline outcomes under the candidate
     // bundle (deliberate shedding stays out — overload is not a bundle
     // property).
     if (rollout_state_ == RolloutState::Canarying) {
-      Outcome g;
-      g.failed = o.failed;
-      g.total_ms = o.total_ms;
       (replica == rollout_config_.canary ? guard_canary_ : guard_baseline_)
-          .push_back(g);
+          .push_back(o);
     }
   }
 
@@ -272,108 +241,69 @@ void ServingFleet::record_outcome_locked(std::size_t replica,
     return;
   }
   // Fleet-observed breaker over the rolling window.
-  if (rep.window.size() >= config_.health_min_samples) {
-    std::size_t failures = 0;
-    for (const Outcome& o : rep.window) failures += o.failed ? 1 : 0;
-    const double rate = static_cast<double>(failures) /
-                        static_cast<double>(rep.window.size());
-    if (rate > config_.eject_error_rate) {
-      eject_locked(replica);
-      return;
-    }
-    if (config_.eject_p99_ms > 0.0 &&
-        replica_percentile_locked(replica, 0.99) > config_.eject_p99_ms) {
-      eject_locked(replica);
-    }
+  if (rep.window.size() >= config_.health_min_samples &&
+      rep.window.error_rate() > config_.eject_error_rate) {
+    eject_locked(replica);
   }
 }
 
-FleetResult ServingFleet::diagnose(const Matrix& window) {
-  return diagnose(window,
-                  config_.host.default_deadline_ms > 0.0
-                      ? Deadline::after_ms(config_.host.default_deadline_ms)
-                      : Deadline::never());
-}
-
-FleetResult ServingFleet::diagnose(const Matrix& window, Deadline deadline) {
-  const std::uint64_t hash = hash_window(window);
+DiagnosisResult ServingFleet::diagnose(const DiagnoseRequest& request) {
+  ALBA_CHECK(request.window != nullptr) << "DiagnoseRequest needs a window";
+  const std::uint64_t hash = hash_window(*request.window);
   std::size_t preferred = 0;
   bool probing = false;
   std::vector<std::size_t> order;
+  DiagnosisResult out;
+  out.attempts = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++requests_;
     if (draining_) {
       ++all_shed_;
-      FleetResult out;
-      out.status = FleetStatus::AllShed;
-      out.result.status = RequestStatus::RejectedDraining;
+      out.status = RequestStatus::RejectedDraining;
       return out;
     }
     order = candidates_locked(hash, preferred, probing);
   }
 
-  FleetResult out;
   out.replica = preferred < hosts_.size() ? preferred : 0;
-  out.result.status = RequestStatus::RejectedUnhealthy;  // nothing to try
+  out.status = RequestStatus::RejectedUnhealthy;  // nothing to try
   for (std::size_t i = 0; i < order.size(); ++i) {
     const std::size_t c = order[i];
     outstanding_[c]->fetch_add(1, std::memory_order_relaxed);
-    const HostResult r = hosts_[c]->diagnose(window, deadline);
+    DiagnosisResult r = hosts_[c]->diagnose(request);
     outstanding_[c]->fetch_sub(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       record_outcome_locked(c, r);
       if (c != preferred) ++replicas_[c].spill_in;
     }
-    out.result = r;
+    out = std::move(r);
     out.replica = c;
     out.attempts = i + 1;
-    if (r.status == RequestStatus::Ok) break;
+    if (out.ok()) break;
     // A deadline rejection is the caller's budget, not this replica's
     // fault — no other replica can answer in negative time.
-    if (r.status == RequestStatus::RejectedDeadline) break;
-    if (deadline.expired()) break;
+    if (out.status == RequestStatus::RejectedDeadline) break;
+    if (request.deadline.expired()) break;
   }
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (out.result.status == RequestStatus::Ok) {
-      out.status = FleetStatus::Ok;
+    if (out.ok()) {
       out.spilled = out.replica != preferred;
       ++served_;
       if (out.spilled) ++spilled_;
-    } else if (out.result.status == RequestStatus::Failed) {
-      out.status = FleetStatus::Failed;
-      ++failed_;
-    } else {
-      out.status = FleetStatus::AllShed;
+    } else if (is_rejection(out.status)) {
       ++all_shed_;
+    } else {
+      ++failed_;
     }
     if (out.attempts > 1) {
       failovers_ += static_cast<std::uint64_t>(out.attempts - 1);
     }
   }
   return out;
-}
-
-DiagnosisResult ServingFleet::diagnose(const DiagnoseRequest& request) {
-  ALBA_CHECK(request.window != nullptr) << "DiagnoseRequest needs a window";
-  const FleetResult f = request.deadline.is_never()
-                            ? diagnose(*request.window)
-                            : diagnose(*request.window, request.deadline);
-  DiagnosisResult r;
-  r.status = f.result.status;
-  r.diagnosis = f.result.diagnosis;
-  r.error = f.result.error;
-  r.generation = f.result.generation;
-  r.replica = f.replica;
-  r.attempts = f.attempts > 0 ? f.attempts : 1;
-  r.spilled = f.spilled;
-  r.queue_ms = f.result.queue_ms;
-  r.service_ms = f.result.service_ms;
-  r.total_ms = f.result.total_ms;
-  return r;
 }
 
 std::size_t ServingFleet::preferred_replica(const Matrix& window) const {
@@ -437,7 +367,7 @@ void ServingFleet::drain() {
 
 FleetStats ServingFleet::stats() const {
   FleetStats s;
-  std::vector<double> merged;
+  std::vector<Outcome> merged;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     s.requests = requests_;
@@ -462,18 +392,19 @@ FleetStats ServingFleet::stats() const {
       r.probes = rep.probes;
       r.ejections = rep.ejections;
       r.readmissions = rep.readmissions;
-      r.p50_ms = replica_percentile_locked(i, 0.50);
-      r.p99_ms = replica_percentile_locked(i, 0.99);
+      r.p50_ms = rep.window.percentile(&Outcome::total_ms, 0.50);
+      r.p99_ms = rep.window.percentile(&Outcome::total_ms, 0.99);
       s.ejections += rep.ejections;
       s.readmissions += rep.readmissions;
-      for (const Outcome& o : rep.window) merged.push_back(o.total_ms);
+      merged.insert(merged.end(), rep.window.samples().begin(),
+                    rep.window.samples().end());
       s.replicas.push_back(std::move(r));
     }
   }
   // Exact merge of the actual samples across replicas (0/1-sample
   // replicas included), not an average of per-replica percentiles.
-  s.p50_ms = latency_percentile(merged, 0.50);
-  s.p99_ms = latency_percentile(merged, 0.99);
+  s.p50_ms = outcome_percentile(merged, &Outcome::total_ms, 0.50);
+  s.p99_ms = outcome_percentile(merged, &Outcome::total_ms, 0.99);
   // Host/service snapshots outside the fleet mutex (they take host locks).
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     s.replicas[i].host = hosts_[i]->stats();
@@ -536,18 +467,8 @@ RolloutDecision ServingFleet::decide_rollout_locked(
   if (guard_canary_.size() < rollout_config_.guard_min_samples) {
     return RolloutDecision::NeedMoreTraffic;
   }
-  const auto error_rate = [](const std::vector<Outcome>& window) {
-    if (window.empty()) return 0.0;
-    std::size_t failures = 0;
-    for (const Outcome& o : window) failures += o.failed ? 1 : 0;
-    return static_cast<double>(failures) /
-           static_cast<double>(window.size());
-  };
-  const auto p99 = [](const std::vector<Outcome>& window) {
-    std::vector<double> samples;
-    samples.reserve(window.size());
-    for (const Outcome& o : window) samples.push_back(o.total_ms);
-    return latency_percentile(samples, 0.99);
+  const auto p99 = [](std::span<const Outcome> outcomes) {
+    return outcome_percentile(outcomes, &Outcome::total_ms, 0.99);
   };
   const double canary_err = error_rate(guard_canary_);
   const double baseline_err = error_rate(guard_baseline_);
@@ -593,25 +514,14 @@ RolloutDecision ServingFleet::advance_rollout() {
     // Record the guard measurements behind the decision and flip the
     // state *before* the reloads below, so a concurrent advance_rollout
     // sees a terminal state and never double-promotes.
-    const auto error_rate = [](const std::vector<Outcome>& window) {
-      if (window.empty()) return 0.0;
-      std::size_t failures = 0;
-      for (const Outcome& o : window) failures += o.failed ? 1 : 0;
-      return static_cast<double>(failures) /
-             static_cast<double>(window.size());
-    };
-    std::vector<double> canary_ms;
-    std::vector<double> baseline_ms;
-    for (const Outcome& o : guard_canary_) canary_ms.push_back(o.total_ms);
-    for (const Outcome& o : guard_baseline_) {
-      baseline_ms.push_back(o.total_ms);
-    }
     rollout_report_.canary_samples = guard_canary_.size();
     rollout_report_.baseline_samples = guard_baseline_.size();
     rollout_report_.canary_error_rate = error_rate(guard_canary_);
     rollout_report_.baseline_error_rate = error_rate(guard_baseline_);
-    rollout_report_.canary_p99_ms = latency_percentile(canary_ms, 0.99);
-    rollout_report_.baseline_p99_ms = latency_percentile(baseline_ms, 0.99);
+    rollout_report_.canary_p99_ms =
+        outcome_percentile(guard_canary_, &Outcome::total_ms, 0.99);
+    rollout_report_.baseline_p99_ms =
+        outcome_percentile(guard_baseline_, &Outcome::total_ms, 0.99);
     rollout_report_.reason = reason;
     rollout_state_ = decision == RolloutDecision::Promoted
                          ? RolloutState::Promoted

@@ -17,11 +17,11 @@
 //  * failover — when the preferred replica sheds (queue_full, unhealthy,
 //    draining) or fails, the request spills to the least-loaded remaining
 //    replica instead of bouncing back to the caller; only when every
-//    candidate sheds does the caller see a typed fleet-level outcome
-//    (FleetStatus::AllShed — an admitted request fails over or sheds with
-//    a type, it never silently vanishes). Replicas whose fleet-observed
-//    rolling error-rate or p99 breaches the ejection thresholds — or
-//    whose own breaker trips — are ejected from the ring; while any
+//    candidate sheds does the caller see the last candidate's typed
+//    rejection (an admitted request fails over or sheds with a type, it
+//    never silently vanishes). Replicas whose fleet-observed rolling
+//    error rate breaches the ejection threshold — or whose own breaker
+//    trips — are ejected from the ring; while any
 //    replica is ejected, a deterministic 1-in-N probe trickle keeps
 //    routing the occasional request to it, and a successful probe readmits
 //    it (the host breaker's half-open state, one level up);
@@ -33,6 +33,10 @@
 //    canary back to its pre-push bundle. A poisoned bundle dies on the
 //    canary's probe validation and never reaches a second replica; a
 //    bundle that loads but regresses live dies in the guard comparison.
+//
+// Like the host, its one entry point is Diagnoser::diagnose: the answer is
+// the DiagnosisResult of the last replica tried, with `replica`,
+// `attempts` (replicas tried) and `spilled` filled by the fleet.
 //
 // Thread-safety: every public method may be called concurrently; host
 // calls (which block) happen outside the fleet mutex.
@@ -48,7 +52,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/deadline.hpp"
 #include "serving/service_host.hpp"
 
 namespace alba {
@@ -62,20 +65,13 @@ std::string_view to_string(RoutingPolicy policy) noexcept;
 
 struct FleetConfig {
   RoutingPolicy routing = RoutingPolicy::ConsistentHash;
-  // Ring points per replica; more points = smoother arc distribution.
-  std::size_t vnodes = 64;
-  // Replicas tried per request (preferred + spills); 0 = every replica
-  // currently in the ring.
-  std::size_t max_attempts = 0;
   // Fleet-observed per-replica breaker: outcomes of the last
   // `health_window` pipeline passes routed to a replica. With at least
   // `health_min_samples` of them, the replica is ejected from the ring on
-  // `eject_error_rate` (fraction Failed, strict >) or `eject_p99_ms`
-  // (0 disables the latency trip).
+  // `eject_error_rate` (fraction Failed, strict >).
   std::size_t health_window = 64;
   std::size_t health_min_samples = 8;
   double eject_error_rate = 0.5;
-  double eject_p99_ms = 0.0;
   // While any replica is ejected, every `readmit_probe_every`-th request
   // is routed to an ejected replica as a readmission probe; one Ok
   // readmits it with a cleared outcome window.
@@ -85,28 +81,6 @@ struct FleetConfig {
   std::uint64_t seed = 0;
   // Applied to every replica's ServiceHost.
   HostConfig host;
-};
-
-/// Fleet-level outcome type. Ok carries a diagnosis; Failed means the
-/// last candidate's pipeline threw (retriable); AllShed means every
-/// candidate shed with a typed rejection — the fleet-level "we are
-/// overloaded / draining / unhealthy" answer.
-enum class FleetStatus { Ok, Failed, AllShed };
-
-std::string_view to_string(FleetStatus status) noexcept;
-
-/// One routed request's outcome. `result` is the HostResult of the last
-/// replica tried (the serving replica on Ok); `replica` names it;
-/// `attempts` counts replicas tried; `spilled` flags service by a
-/// non-preferred replica (failover or probe detour).
-struct FleetResult {
-  FleetStatus status = FleetStatus::AllShed;
-  HostResult result;
-  std::size_t replica = 0;
-  std::size_t attempts = 0;
-  bool spilled = false;
-
-  bool ok() const noexcept { return status == FleetStatus::Ok; }
 };
 
 /// Per-replica slice of a FleetStats snapshot: fleet-side routing/outcome
@@ -140,8 +114,8 @@ struct FleetStats {
   std::uint64_t served = 0;
   std::uint64_t spilled = 0;    // Ok from a non-preferred replica
   std::uint64_t failovers = 0;  // extra attempts past the first
-  std::uint64_t failed = 0;     // FleetStatus::Failed outcomes
-  std::uint64_t all_shed = 0;   // FleetStatus::AllShed outcomes
+  std::uint64_t failed = 0;     // last candidate's pipeline threw
+  std::uint64_t all_shed = 0;   // every candidate rejected (typed shed)
   std::uint64_t readmit_probes = 0;
   std::uint64_t ejections = 0;
   std::uint64_t readmissions = 0;
@@ -208,17 +182,13 @@ class ServingFleet : public Diagnoser {
   ServingFleet(const ServingFleet&) = delete;
   ServingFleet& operator=(const ServingFleet&) = delete;
 
-  /// Routes, spills, and returns the typed fleet outcome. Never throws on
-  /// overload/failure — like the host, but one level up: a request either
-  /// gets served by some replica or comes back AllShed/Failed.
-  FleetResult diagnose(const Matrix& window);
-  FleetResult diagnose(const Matrix& window, Deadline deadline);
-
-  /// Diagnoser interface: routes exactly like the FleetResult overloads
-  /// and flattens the outcome — status is the last candidate's typed
-  /// status (so AllShed surfaces as the concrete rejection, e.g.
-  /// rejected:draining on a draining fleet), with replica/attempts/spilled
-  /// carried over. A never() deadline applies config.host.default_deadline_ms.
+  /// Routes, spills, and returns the last candidate's typed outcome.
+  /// Never throws on overload/failure — like the host, but one level up:
+  /// a request is served by some replica, or comes back Failed, or with
+  /// the rejection every candidate gave (rejected:draining on a draining
+  /// fleet, with attempts 0). `replica` names the last replica tried,
+  /// `attempts` counts replicas tried, `spilled` flags an Ok from a
+  /// non-preferred replica (failover or probe detour).
   DiagnosisResult diagnose(const DiagnoseRequest& request) override;
 
   std::size_t replica_count() const noexcept { return hosts_.size(); }
@@ -242,8 +212,9 @@ class ServingFleet : public Diagnoser {
   /// routed to it afterwards fail over. Blocks until the drain completes.
   void kill(std::size_t replica);
 
-  /// Graceful fleet drain: new requests shed immediately (AllShed with
-  /// rejected:draining), then every replica drains. Terminal, idempotent.
+  /// Graceful fleet drain: new requests shed immediately
+  /// (rejected:draining, attempts 0), then every replica drains.
+  /// Terminal, idempotent.
   void drain();
 
   FleetStats stats() const;
@@ -269,17 +240,12 @@ class ServingFleet : public Diagnoser {
   RolloutReport rollout_report() const;
 
  private:
-  struct Outcome {
-    bool failed = false;
-    double total_ms = 0.0;
-  };
   // Per-replica fleet-side state: ring membership, rolling outcome
   // window, counters. Guarded by mutex_.
   struct Replica {
     bool in_ring = true;
     bool dead = false;
-    std::vector<Outcome> window;
-    std::size_t window_next = 0;
+    OutcomeWindow window;
     std::uint64_t preferred = 0;
     std::uint64_t served = 0;
     std::uint64_t failed = 0;
@@ -295,10 +261,9 @@ class ServingFleet : public Diagnoser {
   std::vector<std::size_t> candidates_locked(std::uint64_t hash,
                                              std::size_t& preferred,
                                              bool& probing);
-  void record_outcome_locked(std::size_t replica, const HostResult& r);
+  void record_outcome_locked(std::size_t replica, const DiagnosisResult& r);
   void eject_locked(std::size_t replica);
   void readmit_locked(std::size_t replica);
-  double replica_percentile_locked(std::size_t replica, double q) const;
   RolloutDecision decide_rollout_locked(std::string& reason) const;
   void finish_rollout(RolloutDecision decision, const std::string& reason);
 
@@ -331,6 +296,8 @@ class ServingFleet : public Diagnoser {
   RolloutReport rollout_report_;
   std::string rollout_bundle_path_;
   std::string rollout_snapshot_;  // canary's pre-push bundle, serialized
+  // Guard outcomes, unbounded: the decision reads every sample since the
+  // push.
   std::vector<Outcome> guard_canary_;
   std::vector<Outcome> guard_baseline_;
 };

@@ -16,8 +16,8 @@ double ms_between(Deadline::Clock::time_point from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-std::future<HostResult> rejected_future(HostResult result) {
-  std::promise<HostResult> promise;
+std::future<DiagnosisResult> rejected_future(DiagnosisResult result) {
+  std::promise<DiagnosisResult> promise;
   promise.set_value(std::move(result));
   return promise.get_future();
 }
@@ -58,15 +58,16 @@ std::string format_host_summary(const HostStats& s) {
 
 ServiceHost::ServiceHost(std::shared_ptr<DiagnosisService> service,
                          HostConfig config)
-    : config_(config), service_(std::move(service)) {
+    : config_(config),
+      service_(std::move(service)),
+      window_(config_.health_window) {
   ALBA_CHECK(service_ != nullptr) << "ServiceHost needs a service";
   ALBA_CHECK(config_.workers > 0) << "ServiceHost needs at least one worker";
-  ALBA_CHECK(config_.health_window > 0 && config_.health_min_samples > 0)
-      << "health window sizes must be positive";
+  ALBA_CHECK(config_.health_min_samples > 0)
+      << "health_min_samples must be positive";
   ALBA_CHECK(config_.unhealthy_error_rate >= 0.0 &&
              config_.unhealthy_error_rate <= 1.0)
       << "unhealthy_error_rate must be in [0, 1]";
-  window_.reserve(config_.health_window);
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -83,22 +84,9 @@ ServiceHost::~ServiceHost() {
   for (auto& w : workers_) w.join();
 }
 
-bool ServiceHost::unhealthy_locked() const {
-  if (window_.size() < config_.health_min_samples) return false;
-  std::size_t failed = 0;
-  for (const Outcome& o : window_) failed += o.failed ? 1 : 0;
-  const double rate =
-      static_cast<double>(failed) / static_cast<double>(window_.size());
-  if (rate > config_.unhealthy_error_rate) return true;
-  if (config_.unhealthy_p99_ms > 0.0) {
-    std::vector<double> totals;
-    totals.reserve(window_.size());
-    for (const Outcome& o : window_) totals.push_back(o.total_ms);
-    if (latency_percentile(totals, 0.99) > config_.unhealthy_p99_ms) {
-      return true;
-    }
-  }
-  return false;
+bool ServiceHost::unhealthy_locked() const noexcept {
+  return window_.size() >= config_.health_min_samples &&
+         window_.error_rate() > config_.unhealthy_error_rate;
 }
 
 HostHealth ServiceHost::health_locked() const {
@@ -112,8 +100,8 @@ HostHealth ServiceHost::health() const {
   return health_locked();
 }
 
-std::future<HostResult> ServiceHost::submit(const Matrix& window,
-                                            Deadline deadline) {
+std::future<DiagnosisResult> ServiceHost::submit(const Matrix& window,
+                                                 Deadline deadline) {
   const auto admitted_at = Deadline::Clock::now();
   std::lock_guard<std::mutex> lock(mutex_);
   ++totals_.submitted;
@@ -134,7 +122,7 @@ std::future<HostResult> ServiceHost::submit(const Matrix& window,
         break;
       default: break;
     }
-    HostResult r;
+    DiagnosisResult r;
     r.status = status;
     return rejected_future(std::move(r));
   };
@@ -164,7 +152,7 @@ std::future<HostResult> ServiceHost::submit(const Matrix& window,
   req.window = &window;
   req.deadline = deadline;
   req.admitted_at = admitted_at;
-  std::future<HostResult> future = req.promise.get_future();
+  std::future<DiagnosisResult> future = req.promise.get_future();
   queue_.push_back(std::move(req));
   work_cv_.notify_one();
   return future;
@@ -183,7 +171,7 @@ void ServiceHost::worker_loop() {
     }
 
     const auto dequeued_at = Deadline::Clock::now();
-    HostResult result;
+    DiagnosisResult result;
     result.queue_ms = ms_between(req.admitted_at, dequeued_at);
 
     if (req.deadline.expired()) {
@@ -227,16 +215,9 @@ void ServiceHost::worker_loop() {
       }
       // Health sees pipeline outcomes (success vs failure + latency);
       // deliberate shedding stays out so overload alone cannot trip it.
-      Outcome o;
-      o.failed = result.status == RequestStatus::Failed;
-      o.queue_ms = result.queue_ms;
-      o.total_ms = result.total_ms;
-      if (window_.size() < config_.health_window) {
-        window_.push_back(o);
-      } else {
-        window_[window_next_] = o;
-      }
-      window_next_ = (window_next_ + 1) % config_.health_window;
+      window_.push(Outcome{.failed = result.status == RequestStatus::Failed,
+                           .queue_ms = result.queue_ms,
+                           .total_ms = result.total_ms});
     }
 
     req.promise.set_value(std::move(result));
@@ -248,41 +229,9 @@ void ServiceHost::worker_loop() {
   }
 }
 
-HostResult ServiceHost::diagnose(const Matrix& window) {
-  return diagnose(window, config_.default_deadline_ms > 0.0
-                              ? Deadline::after_ms(config_.default_deadline_ms)
-                              : Deadline::never());
-}
-
-HostResult ServiceHost::diagnose(const Matrix& window, Deadline deadline) {
-  return submit(window, deadline).get();
-}
-
 DiagnosisResult ServiceHost::diagnose(const DiagnoseRequest& request) {
   ALBA_CHECK(request.window != nullptr) << "DiagnoseRequest needs a window";
-  const HostResult h =
-      request.deadline.is_never() ? diagnose(*request.window)
-                                  : diagnose(*request.window, request.deadline);
-  DiagnosisResult r;
-  r.status = h.status;
-  r.diagnosis = h.diagnosis;
-  r.error = h.error;
-  r.generation = h.generation;
-  r.queue_ms = h.queue_ms;
-  r.service_ms = h.service_ms;
-  r.total_ms = h.total_ms;
-  return r;
-}
-
-std::vector<HostResult> ServiceHost::diagnose_batch(
-    std::span<const Matrix> windows, Deadline deadline) {
-  std::vector<std::future<HostResult>> futures;
-  futures.reserve(windows.size());
-  for (const Matrix& w : windows) futures.push_back(submit(w, deadline));
-  std::vector<HostResult> results;
-  results.reserve(windows.size());
-  for (auto& f : futures) results.push_back(f.get());
-  return results;
+  return submit(*request.window, request.deadline).get();
 }
 
 ReloadReport ServiceHost::reload(ModelBundle bundle) {
@@ -353,18 +302,10 @@ std::shared_ptr<const DiagnosisService> ServiceHost::service() const {
 HostStats ServiceHost::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   HostStats s = totals_;
-  std::vector<double> queue_ms;
-  std::vector<double> total_ms;
-  queue_ms.reserve(window_.size());
-  total_ms.reserve(window_.size());
-  for (const Outcome& o : window_) {
-    queue_ms.push_back(o.queue_ms);
-    total_ms.push_back(o.total_ms);
-  }
-  s.queue_p50_ms = latency_percentile(queue_ms, 0.50);
-  s.queue_p99_ms = latency_percentile(queue_ms, 0.99);
-  s.total_p50_ms = latency_percentile(total_ms, 0.50);
-  s.total_p99_ms = latency_percentile(total_ms, 0.99);
+  s.queue_p50_ms = window_.percentile(&Outcome::queue_ms, 0.50);
+  s.queue_p99_ms = window_.percentile(&Outcome::queue_ms, 0.99);
+  s.total_p50_ms = window_.percentile(&Outcome::total_ms, 0.50);
+  s.total_p99_ms = window_.percentile(&Outcome::total_ms, 0.99);
   return s;
 }
 

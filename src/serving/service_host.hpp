@@ -16,9 +16,9 @@
 //    reported as RejectedDeadline, so an Ok result *always* met its
 //    deadline;
 //  * health — a rolling window over recent completions trips the host
-//    Unhealthy on error-rate or p99 breach; while unhealthy, admissions
-//    are shed (RejectedUnhealthy) except a deterministic 1-in-N probe
-//    trickle that lets the window recover (circuit-breaker half-open);
+//    Unhealthy on an error-rate breach; while unhealthy, admissions are
+//    shed (RejectedUnhealthy) except a deterministic 1-in-N probe trickle
+//    that lets the window recover (circuit-breaker half-open);
 //  * drain — stop admitting (RejectedDraining), finish everything already
 //    admitted, then idle; the destructor drains;
 //  * hot reload — an incoming bundle is validated against the probe
@@ -27,6 +27,10 @@
 //    untouched. In-flight requests hold a reference to the service that
 //    admitted them, so a swap can never tear a half-served request, and
 //    every result carries the generation that produced it.
+//
+// Its one entry point is Diagnoser::diagnose (serving/diagnoser.hpp): the
+// caller's DiagnoseRequest deadline is the request's deadline, and the
+// DiagnosisResult carries the generation and the queue/service timings.
 //
 // Thread-safety: every public method may be called concurrently from any
 // number of threads, including reload/drain racing diagnose.
@@ -38,7 +42,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -62,35 +65,16 @@ struct HostConfig {
   // Waiting requests beyond the ones being served; 0 means "reject
   // whenever every worker is busy".
   std::size_t queue_capacity = 64;
-  // Deadline applied by diagnose(window) when the caller brings none;
-  // <= 0 means no default deadline.
-  double default_deadline_ms = 0.0;
 
   // Health window: outcomes of the last `health_window` completed
   // requests. The breaker needs at least `health_min_samples` of them
-  // before it will trip on `unhealthy_error_rate` (fraction Failed) or
-  // `unhealthy_p99_ms` (0 disables the latency trip). While unhealthy,
-  // every `probe_every`-th submission is admitted as a recovery probe.
+  // before it will trip on `unhealthy_error_rate` (fraction Failed,
+  // strict >). While unhealthy, every `probe_every`-th submission is
+  // admitted as a recovery probe.
   std::size_t health_window = 64;
   std::size_t health_min_samples = 16;
   double unhealthy_error_rate = 0.5;
-  double unhealthy_p99_ms = 0.0;
   std::size_t probe_every = 4;
-};
-
-/// One hosted request's outcome. `diagnosis` is meaningful only when
-/// `status == Ok`; `generation` names the bundle that served it (0 =
-/// never served); timings cover queue wait and service time.
-struct HostResult {
-  RequestStatus status = RequestStatus::Failed;
-  Diagnosis diagnosis;
-  std::string error;        // what() of the pipeline failure, for Failed
-  std::uint64_t generation = 0;
-  double queue_ms = 0.0;    // admission -> dequeue
-  double service_ms = 0.0;  // dequeue -> completion
-  double total_ms = 0.0;    // admission -> completion (or rejection)
-
-  bool ok() const noexcept { return status == RequestStatus::Ok; }
 };
 
 /// Host health, coarsened for readiness checks: Ready serves everything,
@@ -137,24 +121,11 @@ class ServiceHost : public Diagnoser {
   ServiceHost(const ServiceHost&) = delete;
   ServiceHost& operator=(const ServiceHost&) = delete;
 
-  /// Admits, waits, and returns the typed outcome. Never throws on
-  /// overload, deadline, drain, health, or pipeline failure — those are
-  /// all statuses. The window must stay alive for the duration of the
-  /// call (it does: the call blocks).
-  HostResult diagnose(const Matrix& window);
-  HostResult diagnose(const Matrix& window, Deadline deadline);
-
-  /// Diagnoser interface: same admission/deadline/health semantics as the
-  /// HostResult overloads, mapped onto the uniform result (replica 0,
-  /// attempts 1). A never() deadline applies config.default_deadline_ms,
-  /// matching diagnose(window).
+  /// Admits, waits, and returns the typed outcome (replica 0, attempts
+  /// 1). Never throws on overload, deadline, drain, health, or pipeline
+  /// failure — those are all statuses. The window must stay alive for the
+  /// duration of the call (it does: the call blocks).
   DiagnosisResult diagnose(const DiagnoseRequest& request) override;
-
-  /// Submits every window up front (so they share the queue and the
-  /// worker set — a burst, not a sequence) and waits for all outcomes.
-  /// Windows past the admission bound come back RejectedQueueFull.
-  std::vector<HostResult> diagnose_batch(std::span<const Matrix> windows,
-                                         Deadline deadline);
 
   /// Validates `bundle` against the probe set and atomically swaps it in;
   /// on any failure the previous service keeps serving (rolled_back).
@@ -188,20 +159,21 @@ class ServiceHost : public Diagnoser {
     const Matrix* window = nullptr;  // caller-owned; caller blocks until done
     Deadline deadline = Deadline::never();
     Deadline::Clock::time_point admitted_at;
-    std::promise<HostResult> promise;
+    std::promise<DiagnosisResult> promise;
   };
 
   void worker_loop();
   // Admission decision + enqueue; returns the future to wait on, or
   // fulfills immediately on rejection.
-  std::future<HostResult> submit(const Matrix& window, Deadline deadline);
+  std::future<DiagnosisResult> submit(const Matrix& window,
+                                      Deadline deadline);
   // Reload plumbing: snapshot the serving config + probe set, then swap
   // the validated service in (or record the rollback).
   std::pair<ServingConfig, std::vector<Matrix>> reload_inputs() const;
   ReloadReport install(std::shared_ptr<DiagnosisService> fresh,
                        ReloadReport report);
   HostHealth health_locked() const;
-  bool unhealthy_locked() const;
+  bool unhealthy_locked() const noexcept;
 
   HostConfig config_;
 
@@ -226,14 +198,8 @@ class ServiceHost : public Diagnoser {
   std::uint64_t admission_counter_ = 0;  // drives the 1-in-N probe trickle
   HostStats totals_;
   // Rolling outcome window (health + percentiles): one entry per
-  // completed admission, newest overwrite oldest.
-  struct Outcome {
-    bool failed = false;
-    double queue_ms = 0.0;
-    double total_ms = 0.0;
-  };
-  std::vector<Outcome> window_;
-  std::size_t window_next_ = 0;
+  // completed pipeline pass.
+  OutcomeWindow window_;
 
   std::vector<std::thread> workers_;
 };

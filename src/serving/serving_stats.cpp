@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/csv.hpp"
+#include "common/error.hpp"
 #include "common/string_util.hpp"
 
 namespace alba {
@@ -20,6 +21,39 @@ double latency_percentile(std::span<const double> latencies_ms, double q) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+double error_rate(std::span<const Outcome> outcomes) noexcept {
+  if (outcomes.empty()) return 0.0;
+  std::size_t failed = 0;
+  for (const Outcome& o : outcomes) failed += o.failed ? 1 : 0;
+  return static_cast<double>(failed) / static_cast<double>(outcomes.size());
+}
+
+double outcome_percentile(std::span<const Outcome> outcomes,
+                          double Outcome::*field, double q) {
+  std::vector<double> samples;
+  samples.reserve(outcomes.size());
+  for (const Outcome& o : outcomes) samples.push_back(o.*field);
+  return latency_percentile(samples, q);
+}
+
+OutcomeWindow::OutcomeWindow(std::size_t capacity) : capacity_(capacity) {
+  ALBA_CHECK(capacity_ > 0) << "an outcome window needs a positive capacity";
+}
+
+void OutcomeWindow::push(const Outcome& outcome) {
+  if (samples_.size() < capacity_) {
+    samples_.push_back(outcome);
+  } else {
+    samples_[next_] = outcome;
+  }
+  next_ = (next_ + 1) % capacity_;
+}
+
+void OutcomeWindow::clear() noexcept {
+  samples_.clear();
+  next_ = 0;
 }
 
 std::string format_serving_summary(const ServingStats& s) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 namespace alba {
 
@@ -61,6 +62,45 @@ struct ServingStats {
 /// Linear-interpolation percentile over unsorted samples; q in [0, 1].
 /// Returns 0 for an empty span.
 double latency_percentile(std::span<const double> latencies_ms, double q);
+
+/// One pipeline pass as the serving layer's health, latency and rollout
+/// windows see it. Deliberate shedding never becomes an Outcome.
+struct Outcome {
+  bool failed = false;
+  double queue_ms = 0.0;  // admission -> dequeue (0 where untracked)
+  double total_ms = 0.0;  // admission -> completion
+};
+
+/// Fraction of `outcomes` that failed; 0 for an empty set.
+double error_rate(std::span<const Outcome> outcomes) noexcept;
+
+/// latency_percentile over one field (&Outcome::total_ms or
+/// &Outcome::queue_ms) of `outcomes`; 0 for an empty set.
+double outcome_percentile(std::span<const Outcome> outcomes,
+                          double Outcome::*field, double q);
+
+/// The most recent `capacity` outcomes; once full, each push overwrites
+/// the oldest. Samples are kept in ring order, not arrival order — every
+/// summary above is order-free. Not thread-safe: owners lock around it.
+class OutcomeWindow {
+ public:
+  explicit OutcomeWindow(std::size_t capacity);
+
+  void push(const Outcome& outcome);
+  void clear() noexcept;
+
+  std::size_t size() const noexcept { return samples_.size(); }
+  std::span<const Outcome> samples() const noexcept { return samples_; }
+  double error_rate() const noexcept { return alba::error_rate(samples_); }
+  double percentile(double Outcome::*field, double q) const {
+    return outcome_percentile(samples_, field, q);
+  }
+
+ private:
+  std::size_t capacity_;
+  std::vector<Outcome> samples_;
+  std::size_t next_ = 0;
+};
 
 /// One human-readable line, e.g.
 ///   "640 windows in 512 requests: 123.4 win/s, p50 1.2ms, p99 4.5ms,

@@ -128,8 +128,8 @@ TEST(FleetRouting, RepeatWindowsStickAndTrafficSpreadsAcrossReplicas) {
   std::set<std::size_t> used;
   for (const Matrix& w : e.windows) {
     const std::size_t p = fleet.preferred_replica(w);
-    const FleetResult r = fleet.diagnose(w);
-    ASSERT_TRUE(r.ok()) << to_string(r.result.status);
+    const DiagnosisResult r = fleet.diagnose({&w});
+    ASSERT_TRUE(r.ok()) << to_string(r.status);
     EXPECT_EQ(r.replica, p);  // healthy fleet: no spill
     EXPECT_FALSE(r.spilled);
     EXPECT_EQ(fleet.preferred_replica(w), p);  // serving didn't move it
@@ -163,7 +163,7 @@ TEST(FleetRouting, RoundRobinCyclesThroughReplicas) {
 
   std::set<std::size_t> used;
   for (int i = 0; i < 6; ++i) {
-    const FleetResult r = fleet.diagnose(e.windows[0]);
+    const DiagnosisResult r = fleet.diagnose({&e.windows[0]});
     ASSERT_TRUE(r.ok());
     used.insert(r.replica);
   }
@@ -183,8 +183,8 @@ TEST(Fleet, SpillsToAnotherReplicaWhenThePreferredSheds) {
   const std::size_t p = fleet.preferred_replica(w);
   fleet.host(p).drain();  // replica p now sheds rejected:draining
 
-  const FleetResult r = fleet.diagnose(w);
-  ASSERT_TRUE(r.ok()) << to_string(r.result.status);
+  const DiagnosisResult r = fleet.diagnose({&w});
+  ASSERT_TRUE(r.ok()) << to_string(r.status);
   EXPECT_NE(r.replica, p);
   EXPECT_TRUE(r.spilled);
   EXPECT_GE(r.attempts, 2u);
@@ -210,11 +210,11 @@ TEST(Fleet, AllShedIsTypedWhenEveryReplicaSheds) {
   // First contact ejects both; every outcome is typed, nothing vanishes.
   std::size_t all_shed = 0;
   for (int i = 0; i < 6; ++i) {
-    const FleetResult r = fleet.diagnose(e.windows[i % e.windows.size()]);
+    const DiagnosisResult r =
+        fleet.diagnose({&e.windows[i % e.windows.size()]});
     EXPECT_FALSE(r.ok());
-    if (r.status == FleetStatus::AllShed) ++all_shed;
-    EXPECT_TRUE(is_rejection(r.result.status))
-        << to_string(r.result.status);
+    if (is_rejection(r.status)) ++all_shed;
+    EXPECT_TRUE(is_rejection(r.status)) << to_string(r.status);
   }
   EXPECT_EQ(all_shed, 6u);
   const FleetStats s = fleet.stats();
@@ -240,12 +240,12 @@ TEST(Fleet, KilledReplicaLosesNoAdmittedRequestsFleetWide) {
       for (int i = 0; i < kIters; ++i) {
         const std::size_t w =
             static_cast<std::size_t>(t + 2 * i) % e.windows.size();
-        const FleetResult r = fleet.diagnose(e.windows[w]);
+        const DiagnosisResult r = fleet.diagnose({&e.windows[w]});
         // Every admitted request must end typed: served somewhere, a
-        // typed Failed, or a typed AllShed. Anything else is a loss.
-        if (r.status != FleetStatus::Ok &&
-            r.status != FleetStatus::Failed &&
-            r.status != FleetStatus::AllShed) {
+        // typed Failed, or a typed rejection from every candidate.
+        // Anything else is a loss.
+        if (!r.ok() && r.status != RequestStatus::Failed &&
+            !is_rejection(r.status)) {
           untyped.fetch_add(1);
         }
       }
@@ -265,7 +265,7 @@ TEST(Fleet, KilledReplicaLosesNoAdmittedRequestsFleetWide) {
 
   // The dead replica is never probed and never readmitted.
   for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(fleet.diagnose(e.windows[i % e.windows.size()]).ok());
+    EXPECT_TRUE(fleet.diagnose({&e.windows[i % e.windows.size()]}).ok());
   }
   EXPECT_FALSE(fleet.in_ring(1));
   EXPECT_EQ(fleet.stats().replicas[1].probes, 0u);
@@ -294,9 +294,10 @@ TEST(Fleet, EjectsFailingReplicaAndReadmitsItThroughProbes) {
   chaos.set_enabled(true);
   int i = 0;
   for (; i < 200 && fleet.in_ring(0); ++i) {
-    const FleetResult r = fleet.diagnose(e.windows[i % e.windows.size()]);
+    const DiagnosisResult r =
+        fleet.diagnose({&e.windows[i % e.windows.size()]});
     // Replica 0 fails, the request spills to replica 1 and still serves.
-    EXPECT_TRUE(r.ok()) << to_string(r.result.status);
+    EXPECT_TRUE(r.ok()) << to_string(r.status);
   }
   ASSERT_FALSE(fleet.in_ring(0)) << "replica 0 never ejected";
   EXPECT_GT(chaos.failures_injected(), 0u);
@@ -304,7 +305,7 @@ TEST(Fleet, EjectsFailingReplicaAndReadmitsItThroughProbes) {
   // While ejected, all steady traffic lands on replica 1; the 1-in-N
   // trickle keeps probing replica 0, which keeps failing, stays out.
   for (int j = 0; j < 8; ++j) {
-    EXPECT_TRUE(fleet.diagnose(e.windows[j % e.windows.size()]).ok());
+    EXPECT_TRUE(fleet.diagnose({&e.windows[j % e.windows.size()]}).ok());
   }
   EXPECT_FALSE(fleet.in_ring(0));
   EXPECT_GT(fleet.stats().replicas[0].probes, 0u);
@@ -312,7 +313,7 @@ TEST(Fleet, EjectsFailingReplicaAndReadmitsItThroughProbes) {
   // The fault clears; the next successful probe readmits it.
   chaos.set_enabled(false);
   for (int j = 0; j < 200 && !fleet.in_ring(0); ++j) {
-    EXPECT_TRUE(fleet.diagnose(e.windows[j % e.windows.size()]).ok());
+    EXPECT_TRUE(fleet.diagnose({&e.windows[j % e.windows.size()]}).ok());
   }
   EXPECT_TRUE(fleet.in_ring(0)) << "replica 0 never readmitted";
 
@@ -322,7 +323,7 @@ TEST(Fleet, EjectsFailingReplicaAndReadmitsItThroughProbes) {
   EXPECT_GT(s.readmit_probes, 0u);
   EXPECT_EQ(s.served + s.failed + s.all_shed, s.requests);
   // Once readmitted, its ring arcs serve again.
-  EXPECT_TRUE(fleet.diagnose(e.windows[0]).ok());
+  EXPECT_TRUE(fleet.diagnose({&e.windows[0]}).ok());
 }
 
 // ----------------------------------------------------------------- drain ---
@@ -330,12 +331,11 @@ TEST(Fleet, EjectsFailingReplicaAndReadmitsItThroughProbes) {
 TEST(Fleet, DrainIsTerminalTypedAndIdempotent) {
   const FleetEnv& e = env();
   ServingFleet fleet(make_replicas(2, e.bundle_a));
-  EXPECT_TRUE(fleet.diagnose(e.windows[0]).ok());
+  EXPECT_TRUE(fleet.diagnose({&e.windows[0]}).ok());
 
   fleet.drain();
-  const FleetResult r = fleet.diagnose(e.windows[0]);
-  EXPECT_EQ(r.status, FleetStatus::AllShed);
-  EXPECT_EQ(r.result.status, RequestStatus::RejectedDraining);
+  const DiagnosisResult r = fleet.diagnose({&e.windows[0]});
+  EXPECT_EQ(r.status, RequestStatus::RejectedDraining);
   EXPECT_EQ(r.attempts, 0u);
   fleet.drain();  // idempotent
   const FleetStats s = fleet.stats();
@@ -358,7 +358,7 @@ TEST(Fleet, MergedPercentilesAreExactWithZeroAndOneSampleReplicas) {
   // Exactly one pipeline pass: one replica holds one sample, the others
   // hold zero. The exact merge is that sample — an average of
   // per-replica percentiles would drag it toward 0.
-  const FleetResult r = fleet.diagnose(e.windows[0]);
+  const DiagnosisResult r = fleet.diagnose({&e.windows[0]});
   ASSERT_TRUE(r.ok());
   const FleetStats s = fleet.stats();
   EXPECT_GT(s.p50_ms, 0.0);
@@ -376,7 +376,7 @@ TEST(Fleet, AllShedWindowsContributeNoLatencySamples) {
   ServingFleet fleet(make_replicas(2, e.bundle_a));
   fleet.drain();
   for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(fleet.diagnose(e.windows[i % e.windows.size()]).ok());
+    EXPECT_FALSE(fleet.diagnose({&e.windows[i % e.windows.size()]}).ok());
   }
   const FleetStats s = fleet.stats();
   EXPECT_EQ(s.all_shed, 4u);
@@ -420,7 +420,7 @@ TEST(Fleet, StatsSnapshotsStayConsistentUnderLoad) {
       for (int i = 0; i < kIters; ++i) {
         const std::size_t w =
             static_cast<std::size_t>(3 * t + i) % e.windows.size();
-        (void)fleet.diagnose(e.windows[w]);
+        (void)fleet.diagnose({&e.windows[w]});
       }
     });
   }
@@ -472,7 +472,7 @@ TEST(FleetRollout, HealthyCanaryPromotesFleetWide) {
        ++i) {
     // Round-robin the canary into traffic via its own host is cheating —
     // real guard samples come from routed fleet traffic.
-    (void)fleet.diagnose(e.windows[i % e.windows.size()]);
+    (void)fleet.diagnose({&e.windows[i % e.windows.size()]});
     decision = fleet.advance_rollout();
   }
   ASSERT_EQ(decision, RolloutDecision::Promoted);
@@ -512,9 +512,10 @@ TEST(FleetRollout, PoisonedCanaryPushNeverReachesASecondReplica) {
   // canary included — still serves generation 1 of the old bundle.
   for (std::size_t r = 0; r < 3; ++r) {
     EXPECT_EQ(fleet.host(r).generation(), 1u) << "replica " << r;
-    const FleetResult res = fleet.diagnose(e.windows[r % e.windows.size()]);
+    const DiagnosisResult res =
+        fleet.diagnose({&e.windows[r % e.windows.size()]});
     ASSERT_TRUE(res.ok());
-    EXPECT_EQ(res.result.generation, 1u);
+    EXPECT_EQ(res.generation, 1u);
   }
   // The failed rollout is terminal, not wedged: a good push works now.
   const ReloadReport retry = fleet.start_rollout(good, rollout);
@@ -554,7 +555,7 @@ TEST(FleetRollout, SlowCanaryRollsBackOnTheP99Guard) {
   RolloutDecision decision = RolloutDecision::NeedMoreTraffic;
   for (int i = 0; i < 500 && decision == RolloutDecision::NeedMoreTraffic;
        ++i) {
-    (void)fleet.diagnose(e.windows[i % e.windows.size()]);
+    (void)fleet.diagnose({&e.windows[i % e.windows.size()]});
     decision = fleet.advance_rollout();
   }
   chaos.set_enabled(false);
@@ -575,11 +576,11 @@ TEST(FleetRollout, SlowCanaryRollsBackOnTheP99Guard) {
   // service again.
   auto reference = make_service(e.bundle_a);
   const Matrix& w = e.windows[1];
-  const FleetResult after = fleet.diagnose(w);
+  const DiagnosisResult after = fleet.diagnose({&w});
   ASSERT_TRUE(after.ok());
   const Diagnosis expected = reference->diagnose(w);
-  EXPECT_EQ(after.result.diagnosis.label, expected.label);
-  EXPECT_EQ(after.result.diagnosis.probs, expected.probs);
+  EXPECT_EQ(after.diagnosis.label, expected.label);
+  EXPECT_EQ(after.diagnosis.probs, expected.probs);
 }
 
 TEST(FleetRollout, StartWhileCanaryingThrows) {

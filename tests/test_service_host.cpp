@@ -94,6 +94,25 @@ std::shared_ptr<DiagnosisService> make_service(const std::string& bytes,
                                             config);
 }
 
+// How long a test waits for another thread to reach a point before it
+// fails instead of hanging until the ctest timeout.
+constexpr auto kWaitBound = std::chrono::seconds(10);
+
+// Polls `reached` every millisecond; once kWaitBound has passed, records a
+// test failure naming `what` and returns so the test can unblock its
+// threads and end.
+template <typename Pred>
+void wait_until(Pred reached, const char* what) {
+  const auto give_up = std::chrono::steady_clock::now() + kWaitBound;
+  while (!reached()) {
+    if (std::chrono::steady_clock::now() > give_up) {
+      ADD_FAILURE() << "gave up waiting for " << what;
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 // An extraction hook that parks the worker until the test releases it —
 // the deterministic way to keep the queue occupied.
 struct Gate {
@@ -110,9 +129,8 @@ struct Gate {
     };
   }
   void wait_entered(int n) {
-    while (entered.load() < n) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    wait_until([&] { return entered.load() >= n; },
+               "a request to enter the gated pipeline");
   }
   void release() {
     {
@@ -124,9 +142,21 @@ struct Gate {
 };
 
 void wait_submitted(const ServiceHost& host, std::uint64_t n) {
-  while (host.stats().submitted < n) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  wait_until([&] { return host.stats().submitted >= n; },
+             "requests to reach admission");
+}
+
+// Runs host.diagnose(window) on a new thread under a deadline `ms` from
+// the moment that thread starts, so a late thread start cannot expire the
+// deadline before admission. Publishes the deadline through `deadline`.
+std::future<DiagnosisResult> diagnose_async_within(
+    ServiceHost& host, const Matrix& window, double ms,
+    std::promise<Deadline>& deadline) {
+  return std::async(std::launch::async, [&host, &window, ms, &deadline] {
+    const Deadline d = Deadline::after_ms(ms);
+    deadline.set_value(d);
+    return host.diagnose({&window, d});
+  });
 }
 
 // ------------------------------------------------------- typed statuses ---
@@ -166,7 +196,7 @@ TEST(ServiceHost, ServesBitIdenticallyToTheBareService) {
   ServiceHost host(make_service(e.bundle_a));
 
   for (const Matrix& w : e.windows) {
-    const HostResult r = host.diagnose(w);
+    const DiagnosisResult r = host.diagnose({&w});
     ASSERT_TRUE(r.ok()) << to_string(r.status);
     EXPECT_EQ(r.generation, 1u);
     EXPECT_GE(r.total_ms, r.service_ms);
@@ -185,7 +215,8 @@ TEST(ServiceHost, ServesBitIdenticallyToTheBareService) {
 TEST(ServiceHost, ExpiredDeadlineIsRejectedAtAdmission) {
   const HostEnv& e = env();
   ServiceHost host(make_service(e.bundle_a));
-  const HostResult r = host.diagnose(e.windows[0], Deadline::after_ms(0.0));
+  const DiagnosisResult r =
+      host.diagnose({&e.windows[0], Deadline::after_ms(0.0)});
   EXPECT_EQ(r.status, RequestStatus::RejectedDeadline);
   EXPECT_EQ(r.generation, 0u);  // never reached a service
   EXPECT_EQ(host.stats().rejected_deadline, 1u);
@@ -206,13 +237,13 @@ TEST(ServiceHost, QueueFullRejectsImmediately) {
   ServiceHost host(make_service(e.bundle_a, serving), config);
 
   auto r1 = std::async(std::launch::async,
-                       [&] { return host.diagnose(e.windows[0]); });
+                       [&] { return host.diagnose({&e.windows[0]}); });
   gate.wait_entered(1);  // the only worker is parked inside the pipeline
   auto r2 = std::async(std::launch::async,
-                       [&] { return host.diagnose(e.windows[1]); });
+                       [&] { return host.diagnose({&e.windows[1]}); });
   wait_submitted(host, 2);  // r2 occupies the single queue slot
 
-  const HostResult r3 = host.diagnose(e.windows[2]);
+  const DiagnosisResult r3 = host.diagnose({&e.windows[2]});
   EXPECT_EQ(r3.status, RequestStatus::RejectedQueueFull);
 
   gate.release();
@@ -235,12 +266,11 @@ TEST(ServiceHost, QueuedRequestPastDeadlineIsShedWithoutWork) {
   ServiceHost host(make_service(e.bundle_a, serving), config);
 
   auto r1 = std::async(std::launch::async,
-                       [&] { return host.diagnose(e.windows[0]); });
+                       [&] { return host.diagnose({&e.windows[0]}); });
   gate.wait_entered(1);
-  const Deadline short_deadline = Deadline::after_ms(20.0);
-  auto r2 = std::async(std::launch::async, [&] {
-    return host.diagnose(e.windows[1], short_deadline);
-  });
+  std::promise<Deadline> made;
+  auto r2 = diagnose_async_within(host, e.windows[1], 20.0, made);
+  const Deadline short_deadline = made.get_future().get();
   wait_submitted(host, 2);
   while (!short_deadline.expired()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -248,8 +278,9 @@ TEST(ServiceHost, QueuedRequestPastDeadlineIsShedWithoutWork) {
   gate.release();
 
   EXPECT_TRUE(r1.get().ok());
-  const HostResult shed = r2.get();
+  const DiagnosisResult shed = r2.get();
   EXPECT_EQ(shed.status, RequestStatus::RejectedDeadline);
+  EXPECT_GT(shed.queue_ms, 0.0);   // admitted and queued, not refused
   EXPECT_EQ(shed.generation, 0u);  // shed at dequeue: no pipeline pass
   EXPECT_EQ(gate.entered.load(), 1);  // the shed request never extracted
   EXPECT_EQ(host.stats().rejected_deadline, 1u);
@@ -265,17 +296,16 @@ TEST(ServiceHost, LateCompletionIsReportedAsDeadlineMiss) {
   config.workers = 1;
   ServiceHost host(make_service(e.bundle_a, serving), config);
 
-  const Deadline deadline = Deadline::after_ms(20.0);
-  auto r1 = std::async(std::launch::async, [&] {
-    return host.diagnose(e.windows[0], deadline);
-  });
+  std::promise<Deadline> made;
+  auto r1 = diagnose_async_within(host, e.windows[0], 20.0, made);
+  const Deadline deadline = made.get_future().get();
   gate.wait_entered(1);  // admitted in time, now stuck mid-pipeline
   while (!deadline.expired()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   gate.release();
 
-  const HostResult late = r1.get();
+  const DiagnosisResult late = r1.get();
   EXPECT_EQ(late.status, RequestStatus::RejectedDeadline);
   EXPECT_TRUE(late.diagnosis.probs.empty());  // Ok must imply on-time
   const HostStats s = host.stats();
@@ -297,10 +327,10 @@ TEST(ServiceHost, DrainCompletesAdmittedWorkAndShedsNew) {
   ServiceHost host(make_service(e.bundle_a, serving), config);
 
   auto r1 = std::async(std::launch::async,
-                       [&] { return host.diagnose(e.windows[0]); });
+                       [&] { return host.diagnose({&e.windows[0]}); });
   gate.wait_entered(1);
   auto r2 = std::async(std::launch::async,
-                       [&] { return host.diagnose(e.windows[1]); });
+                       [&] { return host.diagnose({&e.windows[1]}); });
   wait_submitted(host, 2);
 
   auto drained = std::async(std::launch::async, [&] { host.drain(); });
@@ -313,7 +343,7 @@ TEST(ServiceHost, DrainCompletesAdmittedWorkAndShedsNew) {
 
   EXPECT_TRUE(r1.get().ok());
   EXPECT_TRUE(r2.get().ok());  // admitted before the drain: served
-  const HostResult after = host.diagnose(e.windows[2]);
+  const DiagnosisResult after = host.diagnose({&e.windows[2]});
   EXPECT_EQ(after.status, RequestStatus::RejectedDraining);
   EXPECT_FALSE(host.ready());
   host.drain();  // idempotent
@@ -341,7 +371,7 @@ TEST(ServiceHost, ConcurrentDrainsAreIdempotentAndLoseNoAdmittedWork) {
     threads.emplace_back([&, c] {
       for (int i = 0; i < kPerClient; ++i) {
         const Matrix& w = e.windows[(c * kPerClient + i) % e.windows.size()];
-        const HostResult r = host.diagnose(w);
+        const DiagnosisResult r = host.diagnose({&w});
         if (r.ok()) {
           ok.fetch_add(1);
         } else {
@@ -374,7 +404,7 @@ TEST(ServiceHost, ConcurrentDrainsAreIdempotentAndLoseNoAdmittedWork) {
   EXPECT_EQ(s.failed, 0u);
   EXPECT_EQ(s.completed + s.rejected(), s.submitted);
   // Post-drain traffic is typed, and further drains stay no-ops.
-  EXPECT_EQ(host.diagnose(e.windows[1]).status,
+  EXPECT_EQ(host.diagnose({&e.windows[1]}).status,
             RequestStatus::RejectedDraining);
   host.drain();
   host.drain();
@@ -401,7 +431,7 @@ TEST(ServiceHost, HealthBreakerTripsAndRecoversThroughProbes) {
   // Exactly health_min_samples failures trip the breaker; request five
   // would already be shed.
   for (int i = 0; i < 4; ++i) {
-    const HostResult r = host.diagnose(e.windows[i % e.windows.size()]);
+    const DiagnosisResult r = host.diagnose({&e.windows[i % e.windows.size()]});
     EXPECT_EQ(r.status, RequestStatus::Failed);
     EXPECT_NE(r.error.find("injected"), std::string::npos);
   }
@@ -412,7 +442,7 @@ TEST(ServiceHost, HealthBreakerTripsAndRecoversThroughProbes) {
   std::size_t shed = 0;
   std::size_t probed = 0;
   for (int i = 0; i < 8; ++i) {
-    const HostResult r = host.diagnose(e.windows[i % e.windows.size()]);
+    const DiagnosisResult r = host.diagnose({&e.windows[i % e.windows.size()]});
     if (r.status == RequestStatus::RejectedUnhealthy) ++shed;
     if (r.status == RequestStatus::Failed) ++probed;
   }
@@ -425,11 +455,11 @@ TEST(ServiceHost, HealthBreakerTripsAndRecoversThroughProbes) {
   failing = false;
   int attempts = 0;
   while (!host.ready() && attempts < 200) {
-    (void)host.diagnose(e.windows[attempts % e.windows.size()]);
+    (void)host.diagnose({&e.windows[attempts % e.windows.size()]});
     ++attempts;
   }
   EXPECT_TRUE(host.ready()) << "breaker never recovered";
-  EXPECT_TRUE(host.diagnose(e.windows[0]).ok());
+  EXPECT_TRUE(host.diagnose({&e.windows[0]}).ok());
 }
 
 // ------------------------------------------------------------ hot reload ---
@@ -439,10 +469,10 @@ TEST(ServiceHost, ReloadSwapsGenerationAndInvalidatesCachedAnswers) {
   ServiceHost host(make_service(e.bundle_a));
   host.set_probe_windows({e.windows[0]});
 
-  const HostResult before = host.diagnose(e.windows[1]);
+  const DiagnosisResult before = host.diagnose({&e.windows[1]});
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before.generation, 1u);
-  const HostResult cached = host.diagnose(e.windows[1]);
+  const DiagnosisResult cached = host.diagnose({&e.windows[1]});
   ASSERT_TRUE(cached.ok());
   EXPECT_TRUE(cached.diagnosis.cache_hit);
 
@@ -456,7 +486,7 @@ TEST(ServiceHost, ReloadSwapsGenerationAndInvalidatesCachedAnswers) {
 
   // The swapped-in service must answer from the new bundle, never from
   // the old service's cache: bit-identical to a fresh model-B service.
-  const HostResult after = host.diagnose(e.windows[1]);
+  const DiagnosisResult after = host.diagnose({&e.windows[1]});
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.generation, 2u);
   EXPECT_FALSE(after.diagnosis.cache_hit);
@@ -475,7 +505,7 @@ TEST(ServiceHost, PoisonedBundleReloadRollsBack) {
 
   ServiceHost host(make_service(e.bundle_a));
   host.set_probe_windows({e.windows[0]});
-  const HostResult before = host.diagnose(e.windows[1]);
+  const DiagnosisResult before = host.diagnose({&e.windows[1]});
   ASSERT_TRUE(before.ok());
 
   for (const BundlePoison poison :
@@ -496,7 +526,7 @@ TEST(ServiceHost, PoisonedBundleReloadRollsBack) {
 
   if (!flip.ok) {
     // The old bundle must still serve, bit-identically to before.
-    const HostResult after = host.diagnose(e.windows[1]);
+    const DiagnosisResult after = host.diagnose({&e.windows[1]});
     ASSERT_TRUE(after.ok());
     EXPECT_EQ(after.generation, 1u);
     EXPECT_EQ(after.diagnosis.probs, before.diagnosis.probs);
@@ -519,7 +549,7 @@ TEST(ServiceHost, ProbeValidationCatchesBundleProbeMismatch) {
   EXPECT_TRUE(report.rolled_back);
   EXPECT_EQ(host.generation(), 1u);
   // The original service — untouched by the failed reload — still serves.
-  EXPECT_TRUE(host.diagnose(e.windows[0]).ok());
+  EXPECT_TRUE(host.diagnose({&e.windows[0]}).ok());
 }
 
 // ----------------------------------------------------------------- retry ---
@@ -579,7 +609,7 @@ TEST(ServiceHost, ConcurrentServeReloadAndStatsAreRaceFree) {
       for (int i = 0; i < kIters; ++i) {
         const std::size_t w =
             static_cast<std::size_t>(t + i) % e.windows.size();
-        const HostResult r = host.diagnose(e.windows[w]);
+        const DiagnosisResult r = host.diagnose({&e.windows[w]});
         if (!r.ok()) continue;  // shed under reload churn is fine
         const Diagnosis& want =
             r.generation % 2 == 1 ? expect_a[w] : expect_b[w];
@@ -680,7 +710,7 @@ TEST(ServingChaos, HostedServiceSurvivesChaosWithTypedOutcomesOnly) {
   std::size_t ok = 0;
   std::size_t failed = 0;
   for (int i = 0; i < 40; ++i) {
-    const HostResult r = host.diagnose(e.windows[i % e.windows.size()]);
+    const DiagnosisResult r = host.diagnose({&e.windows[i % e.windows.size()]});
     switch (r.status) {
       case RequestStatus::Ok: ++ok; break;
       case RequestStatus::Failed:

@@ -484,6 +484,55 @@ TEST(ServingStats, PercentilesOnZeroAndOneSample) {
   EXPECT_DOUBLE_EQ(latency_percentile(two, 1.5), 3.0);
 }
 
+// The one outcome window behind the host breaker, the fleet's per-replica
+// ejection window and (unbounded) the rollout guard.
+TEST(ServingStats, OutcomeWindowWrapsAndSummarizesRetainedSamples) {
+  OutcomeWindow window(4);
+  // An empty window reports 0 for every summary, not NaN.
+  EXPECT_EQ(window.size(), 0u);
+  EXPECT_EQ(window.error_rate(), 0.0);
+  EXPECT_EQ(window.percentile(&Outcome::total_ms, 0.99), 0.0);
+  EXPECT_EQ(window.percentile(&Outcome::queue_ms, 0.50), 0.0);
+
+  // Six pushes into four slots: samples 0 and 1 (both failed) are
+  // overwritten, and the count stays at capacity.
+  for (int i = 0; i < 6; ++i) {
+    window.push(Outcome{.failed = i < 2 || i == 4,
+                        .queue_ms = 0.5 * i,
+                        .total_ms = 10.0 + i});
+  }
+  ASSERT_EQ(window.size(), 4u);
+  std::vector<double> totals;
+  std::vector<double> queues;
+  for (const Outcome& o : window.samples()) {
+    EXPECT_GE(o.total_ms, 12.0) << "an overwritten sample is still there";
+    totals.push_back(o.total_ms);
+    queues.push_back(o.queue_ms);
+  }
+  // Only sample 4 of the retained 2..5 failed.
+  EXPECT_DOUBLE_EQ(window.error_rate(), 0.25);
+  EXPECT_DOUBLE_EQ(error_rate(window.samples()), 0.25);
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(window.percentile(&Outcome::total_ms, q),
+                     latency_percentile(totals, q));
+    EXPECT_DOUBLE_EQ(window.percentile(&Outcome::queue_ms, q),
+                     latency_percentile(queues, q));
+  }
+
+  // clear() as on a fleet readmission: nothing of the old window survives,
+  // and the next push is the only sample.
+  window.clear();
+  EXPECT_EQ(window.size(), 0u);
+  EXPECT_EQ(window.error_rate(), 0.0);
+  window.push(Outcome{.failed = false, .queue_ms = 1.0, .total_ms = 3.0});
+  ASSERT_EQ(window.size(), 1u);
+  EXPECT_EQ(window.error_rate(), 0.0);
+  EXPECT_DOUBLE_EQ(window.percentile(&Outcome::total_ms, 0.99), 3.0);
+  EXPECT_DOUBLE_EQ(window.percentile(&Outcome::queue_ms, 0.50), 1.0);
+
+  EXPECT_THROW(OutcomeWindow(0), Error);
+}
+
 TEST(ServingStats, CountersAccumulateWithoutLoss) {
   const ServingEnv& e = env();
   const std::vector<Sample> samples = fresh_samples(e, 1, 991);
