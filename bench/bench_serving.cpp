@@ -1,9 +1,8 @@
 // Serving-path benchmark: end-to-end from an exported ModelBundle. Trains
 // a small model, freezes it with export_model_bundle, reloads it into a
-// DiagnosisService, and serves a stream of raw telemetry windows (with a
-// repeated-window share to exercise the LRU cache), sweeping micro-batch
-// size x thread count and reporting p50/p99 request latency, windows/sec,
-// and cache hit rate per configuration.
+// DiagnosisService, and serves a stream of raw telemetry windows, sweeping
+// micro-batch size x thread count and reporting p50/p99 request latency
+// and windows/sec per configuration.
 //
 // --smoke runs the CI gate instead of the sweep: serve 100 windows and
 // assert nonzero throughput plus bit-identical agreement with the offline
@@ -55,9 +54,7 @@ struct Stream {
   std::vector<Matrix> windows;
 };
 
-// A stream of per-node windows from fresh runs; every 4th window repeats an
-// earlier one (a stalled collector / dashboard re-check) so the cache has
-// something to do.
+// A stream of distinct per-node windows from fresh runs.
 Stream make_stream(const RunGenerator& generator, std::size_t count,
                    std::uint64_t seed) {
   Stream stream;
@@ -78,12 +75,6 @@ Stream make_stream(const RunGenerator& generator, std::size_t count,
     ++run_id;
     for (const Sample& s : generator.generate_run(spec)) {
       if (stream.windows.size() >= count) break;
-      if (stream.windows.size() % 4 == 3 && stream.windows.size() > 4) {
-        const std::size_t repeat = stream.windows.size() / 2;
-        stream.samples.push_back(stream.samples[repeat]);
-        stream.windows.push_back(stream.windows[repeat]);
-        continue;
-      }
       stream.samples.push_back(s);
       stream.windows.push_back(s.series);
     }
@@ -151,7 +142,6 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
   chaos_config.seed = seed;
   ServingChaos chaos(chaos_config);
   ServingConfig chaotic;
-  chaotic.cache_capacity = 0;  // every request must run the faulty pipeline
   chaotic.extraction_hook = chaos.hook();
   HostConfig host_config;
   host_config.workers = 2;
@@ -217,7 +207,6 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
   molasses.seed = seed + 1;
   ServingChaos slow_chaos(molasses);
   ServingConfig slow_serving;
-  slow_serving.cache_capacity = 0;
   slow_serving.extraction_hook = slow_chaos.hook();
   HostConfig tiny;
   tiny.workers = 1;
@@ -622,7 +611,7 @@ int main(int argc, char** argv) {
   bool latency_smoke = false;
   std::string out_csv;
   Cli cli("bench_serving",
-          "Online serving benchmark: latency/throughput/cache sweep over an "
+          "Online serving benchmark: latency/throughput sweep over an "
           "exported ModelBundle (--smoke for the CI agreement gate, "
           "--chaos-smoke for the resilience gate, --latency-smoke for the "
           "small-batch kernel gate).");
@@ -706,8 +695,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("[smoke] ok: %zu windows served, bit-identical to the "
-                "offline pipeline, cache hit rate %.1f%%\n",
-                diagnoses.size(), 100.0 * s.hit_rate());
+                "offline pipeline\n", diagnoses.size());
     return 0;
   }
 
@@ -718,8 +706,7 @@ int main(int argc, char** argv) {
   if (hw > 1) thread_counts.push_back(hw);
   const std::vector<std::size_t> batch_sizes{1, 8, 32};
 
-  TextTable table({"batch", "threads", "p50 ms", "p99 ms", "windows/s",
-                   "cache hit %"});
+  TextTable table({"batch", "threads", "p50 ms", "p99 ms", "windows/s"});
   std::vector<std::pair<std::string, ServingStats>> csv_rows;
   for (const std::size_t threads : thread_counts) {
     ThreadPool pool(threads);
@@ -739,16 +726,13 @@ int main(int argc, char** argv) {
       table.add_row({std::to_string(batch), std::to_string(threads),
                      strformat("%.3f", s.latency_p50_ms),
                      strformat("%.3f", s.latency_p99_ms),
-                     strformat("%.1f", s.windows_per_second()),
-                     strformat("%.1f", 100.0 * s.hit_rate())});
+                     strformat("%.1f", s.windows_per_second())});
       csv_rows.emplace_back(strformat("batch=%zu/threads=%zu", batch, threads),
                             s);
     }
   }
-  std::printf("\nserving sweep over %zu windows (%zu distinct)\n%s\n",
-              stream.windows.size(),
-              stream.windows.size() - stream.windows.size() / 4,
-              table.render().c_str());
+  std::printf("\nserving sweep over %zu windows\n%s\n",
+              stream.windows.size(), table.render().c_str());
 
   if (!out_csv.empty()) {
     std::ofstream out(out_csv);

@@ -123,9 +123,10 @@ int main() {
     }
   }
 
-  // A dashboard re-checking the last alerting run hits the window cache;
-  // routed through the retrying wrapper a flaky client would use (any
-  // transient Failed / queue-full outcome gets seeded exponential backoff).
+  // A dashboard re-checking the last alerting run re-runs the pipeline on
+  // the same windows (and gets the same verdicts); routed through the
+  // retrying wrapper a flaky client would use (any transient Failed /
+  // queue-full outcome gets seeded exponential backoff).
   BackoffConfig backoff;
   backoff.max_attempts = 3;
   backoff.initial_delay_ms = 2.0;

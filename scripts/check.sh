@@ -20,8 +20,9 @@
 # probabilities, and clear the 3x speedup gate at the 2000x2000 pool
 # scale; timings plus the small/block batch-size sweep land in
 # BENCH_ml_predict.json), an
-# fleet smoke run (deterministic consistent-hash routing must beat
-# round-robin on cache hit rate; timings land in BENCH_fleet.json), a
+# fleet smoke run (on a healthy fleet under one client, the rotation
+# prefers every replica within 1 of requests/R and every request ends
+# Ok, typed-shed or failed; results land in BENCH_fleet.json), a
 # fleet chaos smoke (kill-under-load conservation, poisoned-canary
 # containment, guard-window rollback, promote, typed drain), a wire
 # smoke (stream a feed over the framed socket transport, assert row
@@ -74,7 +75,7 @@ echo "== ml smoke: hist/exact train parity + compiled predict gates =="
 (cd build/bench && ./bench_micro_ml --smoke)
 
 echo
-echo "== fleet smoke: routing determinism + hash vs round-robin hit rate =="
+echo "== fleet smoke: even rotation + request conservation =="
 (cd build/bench && ./bench_fleet --smoke)
 
 echo

@@ -27,7 +27,7 @@
 //                tier); DiagnosisService, ServingConfig, Diagnosis,
 //                ServingStats; ServiceHost (admission control, deadlines,
 //                health, drain, hot reload with rollback), ServingFleet
-//                (consistent-hash routing, failover, canary rollout),
+//                (rotating routing, failover, canary rollout),
 //                ServingChaos / FleetChaos (fault injection)
 //   utilities    logging, CLI flags, text tables, string helpers,
 //                ThreadPool, Deadline, backoff/retry

@@ -43,7 +43,6 @@ struct Diagnosis {
   int label = 0;
   double confidence = 0.0;
   std::vector<double> probs;
-  bool cache_hit = false;
 };
 
 /// Every way a served request can end. Ok is the only outcome carrying a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <string_view>
 #include <unordered_map>
 
@@ -32,83 +31,12 @@ std::uint64_t hash_window(const Matrix& window) noexcept {
   return h;
 }
 
-namespace {
-
-std::uint64_t cell_bits(const double* p) noexcept {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, p, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
-
-WindowKey window_key(const Matrix& window) noexcept {
-  WindowKey key;
-  key.hash = hash_window(window);
-  key.rows = window.rows();
-  key.cols = window.cols();
-  if (window.size() > 0) {
-    key.first_bits = cell_bits(window.data());
-    key.last_bits = cell_bits(window.data() + window.size() - 1);
-  }
-  return key;
-}
-
-bool WindowCache::lookup(const WindowKey& key, Diagnosis& out) {
-  if (capacity_ == 0) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key.hash);
-  if (it == index_.end()) return false;
-  // Verified hit only: a hash match with a differing full key is another
-  // window's entry, which must not be served as this window's answer.
-  if (!it->second->key.matches(key)) return false;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  out = it->second->result;
-  out.cache_hit = true;
-  return true;
-}
-
-void WindowCache::insert(const WindowKey& key, const Diagnosis& d) {
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key.hash);
-  if (it != index_.end()) {
-    if (it->second->key.matches(key)) return;  // a concurrent miss won
-    // Hash collision between distinct windows: evict the old entry in
-    // favor of the new one and account for it.
-    ++collision_evictions_;
-    it->second->key = key;
-    it->second->result = d;
-    it->second->result.cache_hit = false;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(Entry{key, d});
-  lru_.front().result.cache_hit = false;
-  index_.emplace(key.hash, lru_.begin());
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key.hash);
-    lru_.pop_back();
-  }
-}
-
-std::size_t WindowCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
-}
-
-std::uint64_t WindowCache::collision_evictions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return collision_evictions_;
-}
-
 DiagnosisService::DiagnosisService(ModelBundle bundle, ServingConfig config)
     : bundle_(std::move(bundle)),
       config_(config),
       registry_(bundle_.features.system, bundle_.features.registry),
       extractor_(make_extractor(bundle_.features.extractor)),
-      pool_(config.pool != nullptr ? config.pool : &global_pool()),
-      cache_(config.cache_capacity) {
+      pool_(config.pool != nullptr ? config.pool : &global_pool()) {
   ALBA_CHECK(bundle_.model && bundle_.model->fitted())
       << "DiagnosisService needs a fitted model";
   ALBA_CHECK(config_.max_batch > 0);
@@ -184,66 +112,27 @@ void DiagnosisService::serve_micro_batch(std::span<const Matrix> windows,
   const std::size_t n = windows.size();
   const auto start = std::chrono::steady_clock::now();
 
-  // Cache pass: answer hits, dedup identical windows within the batch.
-  // Intra-batch dedup keys on the full WindowKey, so two distinct windows
-  // whose hashes collide are still extracted and predicted separately.
-  std::vector<WindowKey> keys(n);
-  std::vector<std::size_t> miss;            // window index per miss slot
-  std::unordered_map<std::uint64_t, std::size_t> pending;  // hash -> miss slot
-  std::vector<std::pair<std::size_t, std::size_t>> aliases;  // (window, slot)
-  std::size_t hits = 0;
+  // Parallel feature extraction, one row per window, then one forward
+  // pass for the whole micro-batch.
+  Timer phase;
+  Matrix batch_x(n, bundle_.selected.size());
+  pool_->parallel_for(
+      n, [&](std::size_t i) { extract_row(windows[i], batch_x.row(i)); });
+  const double extract_s = phase.seconds();
+
+  phase.reset();
+  const Matrix probs = bundle_.model->predict_proba(batch_x);
+  const double predict_s = phase.seconds();
+
   for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = window_key(windows[i]);
-    if (cache_.lookup(keys[i], out[i])) {
-      ++hits;
-      continue;
-    }
-    const auto [it, inserted] = pending.emplace(keys[i].hash, miss.size());
-    if (inserted || !keys[miss[it->second]].matches(keys[i])) {
-      if (!inserted) pending[keys[i].hash] = miss.size();  // colliding pair
-      miss.push_back(i);
-    } else {
-      aliases.emplace_back(i, it->second);
-    }
+    Diagnosis& d = out[i];
+    const auto row = probs.row(i);
+    d.probs.assign(row.begin(), row.end());
+    d.label = argmax_label(row);
+    d.confidence = row[static_cast<std::size_t>(d.label)];
   }
-
-  double extract_s = 0.0;
-  double predict_s = 0.0;
-  std::size_t batches = 0;
-  if (!miss.empty()) {
-    // Parallel feature extraction, one row per distinct missed window.
-    Timer phase;
-    Matrix batch_x(miss.size(), bundle_.selected.size());
-    pool_->parallel_for(miss.size(), [&](std::size_t m) {
-      extract_row(windows[miss[m]], batch_x.row(m));
-    });
-    extract_s = phase.seconds();
-
-    phase.reset();
-    const Matrix probs = bundle_.model->predict_proba(batch_x);
-    predict_s = phase.seconds();
-    batches = 1;
-
-    for (std::size_t m = 0; m < miss.size(); ++m) {
-      const std::size_t i = miss[m];
-      Diagnosis& d = out[i];
-      const auto row = probs.row(m);
-      d.probs.assign(row.begin(), row.end());
-      d.label = argmax_label(row);
-      d.confidence = row[static_cast<std::size_t>(d.label)];
-      d.cache_hit = false;
-      cache_.insert(keys[i], d);
-    }
-    for (const auto& [i, slot] : aliases) {
-      out[i] = out[miss[slot]];
-      out[i].cache_hit = true;  // answered without a pipeline pass
-    }
-  }
-
-  // Intra-batch duplicates count as hits: they were answered without a
-  // pipeline pass, exactly what the hit rate measures.
   record_request(start, std::chrono::steady_clock::now(), n, extract_s,
-                 predict_s, hits + aliases.size(), miss.size(), batches);
+                 predict_s, 1);
 }
 
 std::vector<Diagnosis> DiagnosisService::diagnose_batch(
@@ -261,13 +150,6 @@ std::vector<Diagnosis> DiagnosisService::diagnose_batch(
 
 void DiagnosisService::serve_single(const Matrix& window, Diagnosis& out) {
   const auto start = std::chrono::steady_clock::now();
-  const WindowKey key = window_key(window);
-  if (cache_.lookup(key, out)) {
-    record_request(start, std::chrono::steady_clock::now(), 1, 0.0, 0.0, 1,
-                   0, 0);
-    return;
-  }
-
   // Per-thread scratch: reshape keeps capacity, so after the first request
   // on a thread neither matrix allocates again. Extraction runs inline —
   // one row cannot use the pool, and skipping the dispatch saves its
@@ -290,10 +172,8 @@ void DiagnosisService::serve_single(const Matrix& window, Diagnosis& out) {
   out.probs.assign(row.begin(), row.end());
   out.label = argmax_label(row);
   out.confidence = row[static_cast<std::size_t>(out.label)];
-  out.cache_hit = false;
-  cache_.insert(key, out);
   record_request(start, std::chrono::steady_clock::now(), 1, extract_s,
-                 predict_s, 0, 1, 1);
+                 predict_s, 1);
 }
 
 Diagnosis DiagnosisService::diagnose(const Matrix& window) {
@@ -339,15 +219,12 @@ std::string_view DiagnosisService::label_name(int label) const {
 void DiagnosisService::record_request(
     std::chrono::steady_clock::time_point start,
     std::chrono::steady_clock::time_point end, std::size_t windows,
-    double extract_s, double predict_s, std::size_t hits, std::size_t misses,
-    std::size_t batches) {
+    double extract_s, double predict_s, std::size_t batches) {
   const double total_s = std::chrono::duration<double>(end - start).count();
   std::lock_guard<std::mutex> lock(stats_mutex_);
   totals_.requests += 1;
   totals_.windows += windows;
   totals_.batches += batches;
-  totals_.cache_hits += hits;
-  totals_.cache_misses += misses;
   totals_.extract_seconds += extract_s;
   totals_.predict_seconds += predict_s;
   totals_.total_seconds += total_s;
@@ -367,10 +244,6 @@ void DiagnosisService::record_request(
 ServingStats DiagnosisService::stats() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ServingStats s = totals_;
-  // The cache owns its collision counter; report growth since the last
-  // reset_stats so the snapshot window matches every other counter.
-  s.collision_evictions =
-      cache_.collision_evictions() - collisions_at_reset_;
   s.latency_p50_ms = latency_.percentile(&Outcome::total_ms, 0.50);
   s.latency_p99_ms = latency_.percentile(&Outcome::total_ms, 0.99);
   s.latency_p999_ms = latency_.percentile(&Outcome::total_ms, 0.999);
@@ -383,7 +256,6 @@ void DiagnosisService::reset_stats() {
   totals_ = ServingStats{};
   latency_.clear();
   span_started_ = false;
-  collisions_at_reset_ = cache_.collision_evictions();
 }
 
 }  // namespace alba

@@ -13,26 +13,23 @@
 //
 // Windows are served as micro-batches: feature rows are extracted in
 // parallel on the shared ThreadPool and predicted with one classifier
-// forward pass per batch. An LRU cache keyed on the window's content hash
-// answers repeated windows (a stalled collector re-delivering the same
-// scan, a dashboard re-asking about the same incident) without touching
-// the pipeline.
+// forward pass per batch. Every window runs the pipeline: there is no
+// content cache, because online every window is new (the ingestor drops
+// re-delivered rows by seq before they can form a repeated window).
 //
 // Thread-safety contract: diagnose and diagnose_batch may be called
-// concurrently from any number of threads. The cache and the statistics
-// are mutex-guarded; the pipeline itself only reads the frozen bundle.
+// concurrently from any number of threads. The statistics are
+// mutex-guarded; the pipeline itself only reads the frozen bundle.
 // stats()/reset_stats() are safe concurrently with serving.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -49,8 +46,9 @@ struct ServingConfig {
   // Windows per classifier forward pass; larger batches amortize the
   // per-call overhead at the cost of per-window latency.
   std::size_t max_batch = 32;
-  // LRU entries keyed on window content hash; 0 disables caching.
-  std::size_t cache_capacity = 1024;
+  // Inert: serving keeps no window cache. Kept only because e2ebench/
+  // sets it; nothing reads it.
+  std::size_t cache_capacity = 0;
   // Pool for parallel feature extraction; nullptr = the process-wide
   // global_pool().
   ThreadPool* pool = nullptr;
@@ -64,59 +62,6 @@ struct ServingConfig {
 
 // Diagnosis itself lives in serving/diagnoser.hpp with the rest of the
 // tier-uniform request/response types.
-
-/// Full cache identity of a raw window: the 64-bit FNV-1a content hash
-/// plus a cheap verifier (shape and the bit patterns of the first and last
-/// cells). The cache indexes by `hash` but only answers when the verifier
-/// matches too — a 64-bit hash collision between distinct windows must not
-/// silently return another window's diagnosis.
-struct WindowKey {
-  std::uint64_t hash = 0;
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  std::uint64_t first_bits = 0;  // bit pattern of cell (0, 0); 0 if empty
-  std::uint64_t last_bits = 0;   // bit pattern of the last cell; 0 if empty
-
-  bool matches(const WindowKey& o) const noexcept {
-    return hash == o.hash && rows == o.rows && cols == o.cols &&
-           first_bits == o.first_bits && last_bits == o.last_bits;
-  }
-};
-
-/// Computes the full cache key of a window. Exposed for tests.
-WindowKey window_key(const Matrix& window) noexcept;
-
-/// Thread-safe LRU keyed on WindowKey — the DiagnosisService's window
-/// cache, factored out so hash-collision handling is testable with
-/// synthetic keys (crafting real 64-bit FNV collisions is infeasible).
-/// A lookup whose hash matches but whose verifier does not is a miss; an
-/// insert over such an entry evicts it and counts a collision eviction.
-class WindowCache {
- public:
-  /// `capacity` of 0 disables the cache (lookup misses, insert drops).
-  explicit WindowCache(std::size_t capacity) : capacity_(capacity) {}
-
-  /// On a verified hit, copies the stored diagnosis into `out` with
-  /// cache_hit flagged and refreshes recency.
-  bool lookup(const WindowKey& key, Diagnosis& out);
-  void insert(const WindowKey& key, const Diagnosis& d);
-
-  std::size_t size() const;
-  /// Entries replaced because the full key disproved a hash match.
-  std::uint64_t collision_evictions() const;
-
- private:
-  struct Entry {
-    WindowKey key;
-    Diagnosis result;  // stored with cache_hit=false; flagged on lookup
-  };
-
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::list<Entry> lru_;  // most-recent at the front; map points into it
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
-  std::uint64_t collision_evictions_ = 0;
-};
 
 class DiagnosisService : public Diagnoser {
  public:
@@ -143,8 +88,7 @@ class DiagnosisService : public Diagnoser {
   DiagnosisResult diagnose(const DiagnoseRequest& request) override;
 
   /// Diagnoses a stream of windows as micro-batches of at most
-  /// config.max_batch, preserving order. Duplicate windows — within the
-  /// batch or across requests — are answered once and deduplicated.
+  /// config.max_batch, preserving order.
   std::vector<Diagnosis> diagnose_batch(std::span<const Matrix> windows);
 
   const ModelBundle& bundle() const noexcept { return bundle_; }
@@ -168,17 +112,16 @@ class DiagnosisService : public Diagnoser {
   void extract_row(const Matrix& window, std::span<double> out) const;
   void serve_micro_batch(std::span<const Matrix> windows,
                          std::span<Diagnosis> out);
-  // Single-window fast path: no dedup bookkeeping, no pool dispatch, and
-  // the feature row + probability matrices are per-thread scratch reused
-  // across requests, so a cached-model request performs no batch-assembly
-  // copies or steady-state allocations before the predictor runs. Results
-  // are bit-identical to serve_micro_batch on a one-window span.
+  // Single-window fast path: no pool dispatch, and the feature row +
+  // probability matrices are per-thread scratch reused across requests,
+  // so a request performs no batch-assembly copies or steady-state
+  // allocations before the predictor runs. Results are bit-identical to
+  // serve_micro_batch on a one-window span.
   void serve_single(const Matrix& window, Diagnosis& out);
   void record_request(std::chrono::steady_clock::time_point start,
                       std::chrono::steady_clock::time_point end,
-                      std::size_t windows, double extract_s, double predict_s,
-                      std::size_t hits, std::size_t misses,
-                      std::size_t batches);
+                      std::size_t windows, double extract_s,
+                      double predict_s, std::size_t batches);
 
   ModelBundle bundle_;
   ServingConfig config_;
@@ -192,9 +135,6 @@ class DiagnosisService : public Diagnoser {
   std::vector<double> col_min_;
   std::vector<double> col_max_;
 
-  // Window cache with verified (collision-safe) hits.
-  WindowCache cache_;
-
   // Aggregate counters + per-request latency ring (RoundStats idiom).
   // wall-clock span endpoints: first request start, latest request end.
   mutable std::mutex stats_mutex_;
@@ -203,13 +143,11 @@ class DiagnosisService : public Diagnoser {
   bool span_started_ = false;
   std::chrono::steady_clock::time_point span_first_{};
   std::chrono::steady_clock::time_point span_last_{};
-  // Cache collision count at the last reset_stats (the cache itself is
-  // not reset, so stats() reports the delta).
-  std::uint64_t collisions_at_reset_ = 0;
 };
 
-/// Content hash of a raw window (shape + bit pattern of every cell) — the
-/// cache key. Exposed for tests.
+/// 64-bit FNV-1a content hash of a raw window (shape + bit pattern of
+/// every cell): a cheap fingerprint for checking that two raw windows are
+/// bit-identical, as the streaming parity checks and tests do.
 std::uint64_t hash_window(const Matrix& window) noexcept;
 
 }  // namespace alba

@@ -5,28 +5,11 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "common/string_util.hpp"
 #include "serving/model_bundle.hpp"
 #include "serving/serving_stats.hpp"
 
 namespace alba {
-
-namespace {
-
-constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
-// Ring points per replica; more points = smoother arc distribution.
-constexpr std::size_t kVnodes = 64;
-
-}  // namespace
-
-std::string_view to_string(RoutingPolicy policy) noexcept {
-  switch (policy) {
-    case RoutingPolicy::ConsistentHash: return "consistent-hash";
-    case RoutingPolicy::RoundRobin: return "round-robin";
-  }
-  return "unknown";
-}
 
 std::string_view to_string(RolloutState state) noexcept {
   switch (state) {
@@ -94,40 +77,14 @@ ServingFleet::ServingFleet(
         std::make_unique<ServiceHost>(std::move(service), config_.host));
     outstanding_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
   }
-  rebuild_ring_locked();  // construction: no concurrent access yet
 }
 
 ServingFleet::~ServingFleet() {
   // Host destructors drain; nothing fleet-level left to tear down.
 }
 
-void ServingFleet::rebuild_ring_locked() {
-  ring_.clear();
-  for (std::size_t id = 0; id < replicas_.size(); ++id) {
-    if (!replicas_[id].in_ring) continue;
-    // One deterministic point stream per replica: the ring depends only on
-    // (seed, replica id, vnode index), never on join order or traffic.
-    SplitMix64 sm(config_.seed ^ (static_cast<std::uint64_t>(id) + 1) *
-                                     kGolden);
-    for (std::size_t v = 0; v < kVnodes; ++v) {
-      ring_.emplace_back(sm.next(), id);
-    }
-  }
-  std::sort(ring_.begin(), ring_.end());
-}
-
-std::size_t ServingFleet::ring_lookup_locked(std::uint64_t hash) const {
-  // First ring point clockwise from the hash; wrap to the smallest point.
-  const auto it = std::upper_bound(
-      ring_.begin(), ring_.end(), hash,
-      [](std::uint64_t h, const std::pair<std::uint64_t, std::size_t>& p) {
-        return h < p.first;
-      });
-  return it == ring_.end() ? ring_.front().second : it->second;
-}
-
 std::vector<std::size_t> ServingFleet::candidates_locked(
-    std::uint64_t hash, std::size_t& preferred, bool& probing) {
+    std::size_t& preferred) {
   std::vector<std::size_t> active;
   std::vector<std::size_t> ejected;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
@@ -136,7 +93,6 @@ std::vector<std::size_t> ServingFleet::candidates_locked(
   }
 
   std::vector<std::size_t> order;
-  probing = false;
   // Probe-driven readmission: while anything is ejected, a deterministic
   // 1-in-N trickle detours a request to an ejected replica first (a
   // successful answer readmits it; a failed one spills onward like any
@@ -145,19 +101,14 @@ std::vector<std::size_t> ServingFleet::candidates_locked(
       ++probe_counter_ % config_.readmit_probe_every == 0) {
     const std::size_t p = ejected[probe_rotor_++ % ejected.size()];
     order.push_back(p);
-    probing = true;
     ++readmit_probes_;
     ++replicas_[p].probes;
   }
 
   preferred = replicas_.size();  // sentinel: no in-ring preference
   if (!active.empty()) {
-    if (config_.routing == RoutingPolicy::ConsistentHash && !ring_.empty()) {
-      preferred = ring_lookup_locked(hash);
-    } else {
-      preferred =
-          active[static_cast<std::size_t>(round_robin_++) % active.size()];
-    }
+    preferred =
+        active[static_cast<std::size_t>(round_robin_++) % active.size()];
     ++replicas_[preferred].preferred;
     if (order.empty() || order.front() != preferred) {
       order.push_back(preferred);
@@ -185,7 +136,6 @@ void ServingFleet::eject_locked(std::size_t replica) {
   if (!r.in_ring) return;
   r.in_ring = false;
   ++r.ejections;
-  rebuild_ring_locked();
 }
 
 void ServingFleet::readmit_locked(std::size_t replica) {
@@ -196,7 +146,6 @@ void ServingFleet::readmit_locked(std::size_t replica) {
   // Fresh start: the window that got it ejected must not re-trip the
   // breaker on the first post-recovery completion.
   r.window.clear();
-  rebuild_ring_locked();
 }
 
 void ServingFleet::record_outcome_locked(std::size_t replica,
@@ -249,9 +198,7 @@ void ServingFleet::record_outcome_locked(std::size_t replica,
 
 DiagnosisResult ServingFleet::diagnose(const DiagnoseRequest& request) {
   ALBA_CHECK(request.window != nullptr) << "DiagnoseRequest needs a window";
-  const std::uint64_t hash = hash_window(*request.window);
   std::size_t preferred = 0;
-  bool probing = false;
   std::vector<std::size_t> order;
   DiagnosisResult out;
   out.attempts = 0;
@@ -263,7 +210,7 @@ DiagnosisResult ServingFleet::diagnose(const DiagnoseRequest& request) {
       out.status = RequestStatus::RejectedDraining;
       return out;
     }
-    order = candidates_locked(hash, preferred, probing);
+    order = candidates_locked(preferred);
   }
 
   out.replica = preferred < hosts_.size() ? preferred : 0;
@@ -306,22 +253,6 @@ DiagnosisResult ServingFleet::diagnose(const DiagnoseRequest& request) {
   return out;
 }
 
-std::size_t ServingFleet::preferred_replica(const Matrix& window) const {
-  const std::uint64_t hash = hash_window(window);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (config_.routing == RoutingPolicy::ConsistentHash && !ring_.empty()) {
-    return ring_lookup_locked(hash);
-  }
-  // RoundRobin: the replica the *next* request would get (no counter
-  // side effect from peeking).
-  std::vector<std::size_t> active;
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (replicas_[i].in_ring) active.push_back(i);
-  }
-  if (active.empty()) return 0;
-  return active[static_cast<std::size_t>(round_robin_) % active.size()];
-}
-
 bool ServingFleet::in_ring(std::size_t replica) const {
   std::lock_guard<std::mutex> lock(mutex_);
   ALBA_CHECK(replica < replicas_.size())
@@ -350,7 +281,6 @@ void ServingFleet::kill(std::size_t replica) {
       r.in_ring = false;
       ++r.ejections;
     }
-    rebuild_ring_locked();
   }
   // Outside the fleet mutex: the drain blocks on in-flight work, and that
   // work's completion path takes the fleet mutex to record its outcome.

@@ -5,14 +5,10 @@
 // incident. ServingFleet adds exactly the three fleet-level properties a
 // production deployment needs:
 //
-//  * routing — requests are consistent-hashed on the window's content
-//    hash (the same FNV-1a key the LRU window cache uses), so repeated
-//    windows land on the same replica and its cache stays hot. The ring
-//    is derived deterministically from (seed, replica id, vnode index):
-//    a fixed seed and replica set always routes identically, and adding
-//    or ejecting a replica only remaps the ring arcs it owned. A
-//    RoundRobin policy exists as the cache-cold baseline the bench
-//    compares against;
+//  * routing — the preferred replica rotates over the ring (the replicas
+//    neither ejected nor killed): on a fresh fleet request n prefers
+//    replica n mod R, so a healthy fleet spreads load evenly. There is no
+//    affinity to keep, since serving holds no per-replica cache;
 //
 //  * failover — when the preferred replica sheds (queue_full, unhealthy,
 //    draining) or fails, the request spills to the least-loaded remaining
@@ -49,22 +45,13 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "serving/service_host.hpp"
 
 namespace alba {
 
-/// How the fleet picks a preferred replica for a request. ConsistentHash
-/// keeps per-replica caches hot (same window -> same replica);
-/// RoundRobin is the cache-cold control the bench compares against.
-enum class RoutingPolicy { ConsistentHash, RoundRobin };
-
-std::string_view to_string(RoutingPolicy policy) noexcept;
-
 struct FleetConfig {
-  RoutingPolicy routing = RoutingPolicy::ConsistentHash;
   // Fleet-observed per-replica breaker: outcomes of the last
   // `health_window` pipeline passes routed to a replica. With at least
   // `health_min_samples` of them, the replica is ejected from the ring on
@@ -76,22 +63,19 @@ struct FleetConfig {
   // is routed to an ejected replica as a readmission probe; one Ok
   // readmits it with a cleared outcome window.
   std::size_t readmit_probe_every = 8;
-  // Seeds the ring point derivation (routing is deterministic in
-  // (seed, replica set)).
-  std::uint64_t seed = 0;
   // Applied to every replica's ServiceHost.
   HostConfig host;
 };
 
 /// Per-replica slice of a FleetStats snapshot: fleet-side routing/outcome
 /// counters, the fleet-observed latency percentiles, and the replica's own
-/// HostStats/ServingStats (cache hit-rate lives in `service`).
+/// HostStats/ServingStats.
 struct ReplicaStats {
   std::size_t id = 0;
   bool in_ring = true;
   bool dead = false;  // killed: never probed, never readmitted
   HostHealth health = HostHealth::Ready;
-  std::uint64_t preferred = 0;   // requests that ring-routed here first
+  std::uint64_t preferred = 0;   // requests the rotation sent here first
   std::uint64_t served = 0;      // Ok results produced
   std::uint64_t failed = 0;      // Failed results produced
   std::uint64_t shed = 0;        // typed rejections produced
@@ -193,10 +177,6 @@ class ServingFleet : public Diagnoser {
 
   std::size_t replica_count() const noexcept { return hosts_.size(); }
 
-  /// The replica the router would prefer for this window right now —
-  /// exposed so routing determinism is testable.
-  std::size_t preferred_replica(const Matrix& window) const;
-
   /// True while the replica is in the ring (not ejected, not dead).
   bool in_ring(std::size_t replica) const;
 
@@ -256,11 +236,7 @@ class ServingFleet : public Diagnoser {
     std::uint64_t readmissions = 0;
   };
 
-  std::size_t ring_lookup_locked(std::uint64_t hash) const;
-  void rebuild_ring_locked();
-  std::vector<std::size_t> candidates_locked(std::uint64_t hash,
-                                             std::size_t& preferred,
-                                             bool& probing);
+  std::vector<std::size_t> candidates_locked(std::size_t& preferred);
   void record_outcome_locked(std::size_t replica, const DiagnosisResult& r);
   void eject_locked(std::size_t replica);
   void readmit_locked(std::size_t replica);
@@ -275,9 +251,7 @@ class ServingFleet : public Diagnoser {
 
   mutable std::mutex mutex_;
   std::vector<Replica> replicas_;
-  // Sorted (point, replica) ring over in-ring replicas.
-  std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
-  std::uint64_t round_robin_ = 0;
+  std::uint64_t round_robin_ = 0;  // request n prefers in-ring n mod size
   std::uint64_t probe_counter_ = 0;
   std::size_t probe_rotor_ = 0;  // rotates over ejected replicas
   bool draining_ = false;

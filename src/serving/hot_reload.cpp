@@ -40,9 +40,7 @@ std::shared_ptr<DiagnosisService> build_validated_service(
           << "probe probabilities sum to " << sum;
       ++report.probes_run;
     }
-    // Probe traffic must not pollute the production counters. (Probe
-    // answers may stay in the LRU — they were computed by this very
-    // bundle, so they can never be stale.)
+    // Probe traffic must not pollute the production counters.
     service->reset_stats();
     report.ok = true;
     return service;

@@ -59,20 +59,17 @@ void OutcomeWindow::clear() noexcept {
 std::string format_serving_summary(const ServingStats& s) {
   return strformat(
       "%llu windows in %llu requests: %.1f win/s, p50 %.2fms, p99 %.2fms, "
-      "p99.9 %.2fms, min %.2fms, cache %.1f%% (extract %.2fs, "
-      "predict %.2fs)",
+      "p99.9 %.2fms, min %.2fms (extract %.2fs, predict %.2fs)",
       static_cast<unsigned long long>(s.windows),
       static_cast<unsigned long long>(s.requests), s.windows_per_second(),
       s.latency_p50_ms, s.latency_p99_ms, s.latency_p999_ms,
-      s.latency_min_ms, 100.0 * s.hit_rate(), s.extract_seconds,
-      s.predict_seconds);
+      s.latency_min_ms, s.extract_seconds, s.predict_seconds);
 }
 
 std::string serving_stats_csv_header() {
-  return "label,requests,windows,batches,cache_hits,cache_misses,"
-         "collision_evictions,extract_seconds,predict_seconds,total_seconds,"
-         "wall_seconds,windows_per_second,latency_p50_ms,latency_p99_ms,"
-         "latency_p999_ms,latency_min_ms";
+  return "label,requests,windows,batches,extract_seconds,predict_seconds,"
+         "total_seconds,wall_seconds,windows_per_second,latency_p50_ms,"
+         "latency_p99_ms,latency_p999_ms,latency_min_ms";
 }
 
 std::string serving_stats_csv_row(std::string_view label,
@@ -81,14 +78,10 @@ std::string serving_stats_csv_row(std::string_view label,
   // RFC-4180 quoting keeps a comma or quote in it from shearing columns.
   return csv_escape(std::string(label)) +
          strformat(
-             ",%llu,%llu,%llu,%llu,%llu,%llu,%.6f,%.6f,%.6f,%.6f,%.3f,"
-             "%.4f,%.4f,%.4f,%.4f",
+             ",%llu,%llu,%llu,%.6f,%.6f,%.6f,%.6f,%.3f,%.4f,%.4f,%.4f,%.4f",
              static_cast<unsigned long long>(s.requests),
              static_cast<unsigned long long>(s.windows),
              static_cast<unsigned long long>(s.batches),
-             static_cast<unsigned long long>(s.cache_hits),
-             static_cast<unsigned long long>(s.cache_misses),
-             static_cast<unsigned long long>(s.collision_evictions),
              s.extract_seconds, s.predict_seconds, s.total_seconds,
              s.wall_seconds, s.windows_per_second(), s.latency_p50_ms,
              s.latency_p99_ms, s.latency_p999_ms, s.latency_min_ms);
@@ -114,9 +107,6 @@ ServingStats merge_serving_stats(std::span<const ServingStats> parts) {
     merged.requests += s.requests;
     merged.windows += s.windows;
     merged.batches += s.batches;
-    merged.cache_hits += s.cache_hits;
-    merged.cache_misses += s.cache_misses;
-    merged.collision_evictions += s.collision_evictions;
     merged.extract_seconds += s.extract_seconds;
     merged.predict_seconds += s.predict_seconds;
     merged.total_seconds += s.total_seconds;

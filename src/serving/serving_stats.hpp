@@ -1,7 +1,7 @@
 // Aggregate instrumentation of the online diagnosis path, following the
 // RoundStats idiom from the active-learning loop: the service records phase
-// timings (feature extraction vs. model forward pass), request/window/batch
-// counts, and cache accounting as it serves, and exposes an immutable
+// timings (feature extraction vs. model forward pass) and
+// request/window/batch counts as it serves, and exposes an immutable
 // snapshot with derived throughput and latency percentiles. Benches and the
 // smoke stage consume the same snapshot instead of re-instrumenting the
 // service.
@@ -23,13 +23,8 @@ namespace alba {
 /// (a bounded ring; see DiagnosisService::kLatencyWindow).
 struct ServingStats {
   std::uint64_t requests = 0;      // diagnose / diagnose_batch calls
-  std::uint64_t windows = 0;       // windows diagnosed, cache hits included
-  std::uint64_t batches = 0;       // model micro-batches actually predicted
-  std::uint64_t cache_hits = 0;    // windows answered from the LRU cache
-  std::uint64_t cache_misses = 0;  // windows that ran the full pipeline
-  // Cache entries evicted because a full-key check disproved a 64-bit hash
-  // match (two distinct windows colliding on the same content hash).
-  std::uint64_t collision_evictions = 0;
+  std::uint64_t windows = 0;       // windows diagnosed
+  std::uint64_t batches = 0;       // model forward passes
   double extract_seconds = 0.0;    // preprocess + feature extraction
   double predict_seconds = 0.0;    // classifier forward passes
   // Per-call time summed across workers — under concurrent serving this
@@ -45,11 +40,9 @@ struct ServingStats {
   double latency_p999_ms = 0.0;
   double latency_min_ms = 0.0;
 
-  double hit_rate() const noexcept {
-    const std::uint64_t n = cache_hits + cache_misses;
-    return n == 0 ? 0.0
-                  : static_cast<double>(cache_hits) / static_cast<double>(n);
-  }
+  // Inert: serving keeps no window cache, so this is always 0. Kept only
+  // because e2ebench/ reports it.
+  double hit_rate() const noexcept { return 0.0; }
   /// Throughput over the wall-clock serving span. Falls back to the
   /// accumulated per-call time for hand-built snapshots that never set
   /// wall_seconds (single-threaded, the two coincide).
@@ -104,7 +97,7 @@ class OutcomeWindow {
 
 /// One human-readable line, e.g.
 ///   "640 windows in 512 requests: 123.4 win/s, p50 1.2ms, p99 4.5ms,
-///    cache 37.5% (extract 3.1s, predict 1.0s)".
+///    p99.9 6.0ms, min 0.8ms (extract 3.1s, predict 1.0s)".
 std::string format_serving_summary(const ServingStats& s);
 
 /// CSV column names matching serving_stats_csv_row field order; the leading

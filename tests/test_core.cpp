@@ -3,7 +3,6 @@
 // on tiny configurations so the whole binary stays fast.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <set>
 
 #include "common/csv.hpp"
@@ -11,7 +10,6 @@
 #include "common/temp_dir.hpp"
 #include "core/experiments.hpp"
 #include "core/proctor.hpp"
-#include "core/dataset_io.hpp"
 #include "core/report.hpp"
 
 namespace alba {
@@ -297,48 +295,6 @@ TEST_F(CoreTest, ReportRenderingAndCsv) {
   const CsvTable table = read_csv(path);
   EXPECT_EQ(table.header.size(), 11u);
   EXPECT_EQ(table.rows.size(), 2u * 5u);  // 2 methods × (0..4)
-}
-
-
-// ------------------------------------------------------------ dataset io ---
-
-TEST_F(CoreTest, FeatureMatrixBinaryRoundTrip) {
-  const ScopedTempDir dir;
-  const std::string path = dir.file("feature_matrix.bin");
-  save_feature_matrix(path, data_->features);
-  const FeatureMatrix loaded = load_feature_matrix(path);
-  ASSERT_EQ(loaded.num_samples(), data_->features.num_samples());
-  ASSERT_EQ(loaded.num_features(), data_->features.num_features());
-  EXPECT_EQ(loaded.names, data_->features.names);
-  EXPECT_EQ(loaded.labels, data_->features.labels);
-  EXPECT_EQ(loaded.app_ids, data_->features.app_ids);
-  EXPECT_EQ(loaded.node_ids, data_->features.node_ids);
-  for (std::size_t i = 0; i < loaded.num_samples(); i += 7) {
-    for (std::size_t j = 0; j < loaded.num_features(); j += 13) {
-      EXPECT_DOUBLE_EQ(loaded.x(i, j), data_->features.x(i, j));
-    }
-  }
-}
-
-TEST_F(CoreTest, FeatureMatrixRejectsGarbage) {
-  const ScopedTempDir dir;
-  const std::string path = dir.file("garbage.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "garbage bytes, definitely not a feature matrix file";
-  }
-  EXPECT_THROW(load_feature_matrix(path), Error);
-  EXPECT_THROW(load_feature_matrix("/nonexistent/fm.bin"), Error);
-}
-
-TEST_F(CoreTest, FeatureMatrixCsvExport) {
-  const ScopedTempDir dir;
-  const std::string path = dir.file("feature_matrix.csv");
-  write_feature_matrix_csv(path, data_->features);
-  const CsvTable table = read_csv(path);
-  EXPECT_EQ(table.header.size(), 6u + data_->features.num_features());
-  EXPECT_EQ(table.rows.size(), data_->features.num_samples());
-  EXPECT_EQ(table.header[1], "anomaly");
 }
 
 TEST_F(CoreTest, ExperimentsDeterministic) {

@@ -1,5 +1,5 @@
-// Tests for the replicated serving layer: consistent-hash routing,
-// replica failover and spill accounting, fleet-observed ejection with
+// Tests for the replicated serving layer: rotating routing, replica
+// failover and spill accounting, fleet-observed ejection with
 // probe-driven readmission, exact merged latency percentiles, graceful
 // fleet drain, and the staged canary rollout with auto-rollback. The
 // concurrency tests in this file run under TSan in CI.
@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <set>
 #include <sstream>
 #include <thread>
 
@@ -95,7 +94,6 @@ std::vector<std::shared_ptr<DiagnosisService>> make_replicas(
   std::vector<std::shared_ptr<DiagnosisService>> services;
   for (std::size_t r = 0; r < n; ++r) {
     ServingConfig serving;
-    serving.cache_capacity = 0;  // routing tests don't want cache noise
     if (chaos != nullptr) serving.extraction_hook = chaos->hook_for(r);
     services.push_back(make_service(bytes, serving));
   }
@@ -104,83 +102,74 @@ std::vector<std::shared_ptr<DiagnosisService>> make_replicas(
 
 // --------------------------------------------------------------- routing ---
 
-TEST(FleetRouting, DeterministicUnderFixedSeedAndReplicaSet) {
-  const FleetEnv& e = env();
-  FleetConfig config;
-  config.seed = 42;
-  ServingFleet fleet_a(make_replicas(3, e.bundle_a), config);
-  ServingFleet fleet_b(make_replicas(3, e.bundle_a), config);
-
-  for (const Matrix& w : e.windows) {
-    const std::size_t p = fleet_a.preferred_replica(w);
-    EXPECT_EQ(p, fleet_b.preferred_replica(w));
-    EXPECT_EQ(p, fleet_a.preferred_replica(w));  // stable across calls
-    EXPECT_LT(p, fleet_a.replica_count());
-  }
-}
-
-TEST(FleetRouting, RepeatWindowsStickAndTrafficSpreadsAcrossReplicas) {
-  const FleetEnv& e = env();
-  FleetConfig config;
-  config.seed = 7;
-  ServingFleet fleet(make_replicas(3, e.bundle_a), config);
-
-  std::set<std::size_t> used;
-  for (const Matrix& w : e.windows) {
-    const std::size_t p = fleet.preferred_replica(w);
-    const DiagnosisResult r = fleet.diagnose({&w});
-    ASSERT_TRUE(r.ok()) << to_string(r.status);
-    EXPECT_EQ(r.replica, p);  // healthy fleet: no spill
-    EXPECT_FALSE(r.spilled);
-    EXPECT_EQ(fleet.preferred_replica(w), p);  // serving didn't move it
-    used.insert(p);
-  }
-  // 12 distinct windows over 3 replicas with 64 vnodes: more than one
-  // replica must take traffic or the ring is degenerate.
-  EXPECT_GE(used.size(), 2u);
-
-  const FleetStats s = fleet.stats();
-  EXPECT_EQ(s.requests, e.windows.size());
-  EXPECT_EQ(s.served, e.windows.size());
-  EXPECT_EQ(s.spilled, 0u);
-  EXPECT_EQ(s.failovers, 0u);
-  std::uint64_t preferred_sum = 0;
-  std::uint64_t served_sum = 0;
-  for (const ReplicaStats& r : s.replicas) {
-    preferred_sum += r.preferred;
-    served_sum += r.served;
-    EXPECT_EQ(r.spill_in, 0u);
-  }
-  EXPECT_EQ(preferred_sum, e.windows.size());
-  EXPECT_EQ(served_sum, e.windows.size());
-}
-
+// The one routing rule: request n prefers in-ring replica n mod R. A
+// healthy fleet serves every request on its preferred replica; an ejected
+// or killed replica drops out of the rotation, and only the ejected one
+// still gets the readmission probe trickle.
 TEST(FleetRouting, RoundRobinCyclesThroughReplicas) {
   const FleetEnv& e = env();
-  FleetConfig config;
-  config.routing = RoutingPolicy::RoundRobin;
-  ServingFleet fleet(make_replicas(3, e.bundle_a), config);
-
-  std::set<std::size_t> used;
-  for (int i = 0; i < 6; ++i) {
-    const DiagnosisResult r = fleet.diagnose({&e.windows[0]});
-    ASSERT_TRUE(r.ok());
-    used.insert(r.replica);
+  {
+    ServingFleet fleet(make_replicas(3, e.bundle_a));
+    for (std::size_t n = 0; n < 6; ++n) {
+      const DiagnosisResult r = fleet.diagnose({&e.windows[0]});
+      ASSERT_TRUE(r.ok()) << to_string(r.status);
+      EXPECT_EQ(r.replica, n % 3) << "request " << n;
+      EXPECT_FALSE(r.spilled);
+      EXPECT_EQ(r.attempts, 1u);
+    }
+    const FleetStats s = fleet.stats();
+    EXPECT_EQ(s.served, 6u);
+    EXPECT_EQ(s.spilled + s.failovers, 0u);
+    for (const ReplicaStats& r : s.replicas) {
+      EXPECT_EQ(r.preferred, 2u) << "replica " << r.id;
+      EXPECT_EQ(r.served, 2u) << "replica " << r.id;
+      EXPECT_EQ(r.spill_in, 0u) << "replica " << r.id;
+    }
   }
-  // The same window lands everywhere — the cache-cold control.
-  EXPECT_EQ(used.size(), 3u);
+
+  FleetConfig config;
+  config.readmit_probe_every = 4;
+  ServingFleet fleet(make_replicas(4, e.bundle_a), config);
+  fleet.kill(2);           // dead: out of the rotation, never probed
+  fleet.host(1).drain();   // sheds draining: ejected on first contact
+  // Rotation over {0, 1, 3}: request 0 -> 0, request 1 -> 1, which sheds,
+  // is ejected, and spills to the least-loaded in-ring replica (0).
+  EXPECT_EQ(fleet.diagnose({&e.windows[0]}).replica, 0u);
+  const DiagnosisResult spilled = fleet.diagnose({&e.windows[1]});
+  ASSERT_TRUE(spilled.ok()) << to_string(spilled.status);
+  EXPECT_EQ(spilled.replica, 0u);
+  EXPECT_TRUE(spilled.spilled);
+  ASSERT_FALSE(fleet.in_ring(1));
+  ASSERT_FALSE(fleet.in_ring(2));
+
+  // Now the rotation is {0, 3}; every 4th request first probes replica 1
+  // (still draining, so it sheds and the request spills back on course).
+  for (std::size_t k = 0; k < 12; ++k) {
+    const DiagnosisResult r =
+        fleet.diagnose({&e.windows[k % e.windows.size()]});
+    ASSERT_TRUE(r.ok()) << to_string(r.status);
+    EXPECT_EQ(r.replica, k % 2 == 0 ? 0u : 3u) << "request " << k;
+    EXPECT_FALSE(r.spilled);
+    EXPECT_EQ(r.attempts, k % 4 == 3 ? 2u : 1u) << "request " << k;
+  }
+  const FleetStats s = fleet.stats();
+  EXPECT_EQ(s.replicas[1].probes, 3u);
+  EXPECT_EQ(s.replicas[1].preferred, 1u);
+  EXPECT_EQ(s.replicas[2].probes, 0u);
+  EXPECT_EQ(s.replicas[2].preferred, 0u);
+  EXPECT_EQ(s.replicas[2].served + s.replicas[2].shed, 0u);
+  EXPECT_EQ(s.readmit_probes, 3u);
+  EXPECT_FALSE(fleet.in_ring(1));  // a shed probe does not readmit
 }
 
 // -------------------------------------------------------------- failover ---
 
 TEST(Fleet, SpillsToAnotherReplicaWhenThePreferredSheds) {
   const FleetEnv& e = env();
-  FleetConfig config;
-  config.seed = 3;
-  ServingFleet fleet(make_replicas(3, e.bundle_a), config);
+  ServingFleet fleet(make_replicas(3, e.bundle_a));
 
   const Matrix& w = e.windows[0];
-  const std::size_t p = fleet.preferred_replica(w);
+  const std::size_t p = 0;  // a fresh fleet's request 0 prefers replica 0
   fleet.host(p).drain();  // replica p now sheds rejected:draining
 
   const DiagnosisResult r = fleet.diagnose({&w});
@@ -188,9 +177,9 @@ TEST(Fleet, SpillsToAnotherReplicaWhenThePreferredSheds) {
   EXPECT_NE(r.replica, p);
   EXPECT_TRUE(r.spilled);
   EXPECT_GE(r.attempts, 2u);
-  // The draining shed ejected p from the ring on first contact.
+  // The draining shed ejected p from the ring on first contact, so the
+  // rotation no longer prefers it.
   EXPECT_FALSE(fleet.in_ring(p));
-  EXPECT_NE(fleet.preferred_replica(w), p);
 
   const FleetStats s = fleet.stats();
   EXPECT_EQ(s.served, 1u);
@@ -199,6 +188,13 @@ TEST(Fleet, SpillsToAnotherReplicaWhenThePreferredSheds) {
   EXPECT_EQ(s.ejections, 1u);
   EXPECT_EQ(s.replicas[p].shed, 1u);
   EXPECT_EQ(s.replicas[r.replica].spill_in, 1u);
+
+  for (int i = 0; i < 4; ++i) {
+    const DiagnosisResult next = fleet.diagnose({&w});
+    ASSERT_TRUE(next.ok()) << to_string(next.status);
+    EXPECT_NE(next.replica, p);
+    EXPECT_FALSE(next.spilled);
+  }
 }
 
 TEST(Fleet, AllShedIsTypedWhenEveryReplicaSheds) {
@@ -226,7 +222,6 @@ TEST(Fleet, AllShedIsTypedWhenEveryReplicaSheds) {
 TEST(Fleet, KilledReplicaLosesNoAdmittedRequestsFleetWide) {
   const FleetEnv& e = env();
   FleetConfig config;
-  config.seed = 11;
   config.host.workers = 2;
   config.host.queue_capacity = 16;
   ServingFleet fleet(make_replicas(3, e.bundle_a), config);
@@ -283,7 +278,6 @@ TEST(Fleet, EjectsFailingReplicaAndReadmitsItThroughProbes) {
   chaos.set_enabled(false);
 
   FleetConfig config;
-  config.seed = 5;
   config.health_min_samples = 3;
   config.eject_error_rate = 0.4;
   config.readmit_probe_every = 4;
@@ -322,7 +316,7 @@ TEST(Fleet, EjectsFailingReplicaAndReadmitsItThroughProbes) {
   EXPECT_GE(s.readmissions, 1u);
   EXPECT_GT(s.readmit_probes, 0u);
   EXPECT_EQ(s.served + s.failed + s.all_shed, s.requests);
-  // Once readmitted, its ring arcs serve again.
+  // Once readmitted, it is back in the rotation and serves again.
   EXPECT_TRUE(fleet.diagnose({&e.windows[0]}).ok());
 }
 
@@ -347,9 +341,7 @@ TEST(Fleet, DrainIsTerminalTypedAndIdempotent) {
 
 TEST(Fleet, MergedPercentilesAreExactWithZeroAndOneSampleReplicas) {
   const FleetEnv& e = env();
-  FleetConfig config;
-  config.seed = 1;
-  ServingFleet fleet(make_replicas(3, e.bundle_a), config);
+  ServingFleet fleet(make_replicas(3, e.bundle_a));
 
   // A fleet with no samples reports zero percentiles, not NaN.
   EXPECT_EQ(fleet.stats().p50_ms, 0.0);
@@ -390,7 +382,6 @@ TEST(Fleet, AllShedWindowsContributeNoLatencySamples) {
 TEST(Fleet, StatsSnapshotsStayConsistentUnderLoad) {
   const FleetEnv& e = env();
   FleetConfig config;
-  config.seed = 13;
   config.host.workers = 2;
   config.host.queue_capacity = 16;
   ServingFleet fleet(make_replicas(2, e.bundle_a), config);
@@ -451,9 +442,9 @@ TEST(FleetRollout, HealthyCanaryPromotesFleetWide) {
   fleet.set_probe_windows({e.windows[0]});
 
   RolloutConfig rollout;
-  // Canary the replica that owns window arcs, so routed traffic actually
-  // reaches it and fills the guard window.
-  rollout.canary = fleet.preferred_replica(e.windows[0]);
+  // Request n of a fresh fleet prefers replica n mod 3, so every third
+  // routed request reaches the canary and fills its guard window.
+  rollout.canary = 1;
   rollout.guard_min_samples = 6;
   // The p99 guard compares real wall-clock latency; sanitizer jitter can
   // push a healthy canary past any fixed ratio. Disable it here — the
@@ -538,9 +529,7 @@ TEST(FleetRollout, SlowCanaryRollsBackOnTheP99Guard) {
   FleetChaos chaos(chaos_config, 3);
   chaos.set_enabled(false);
 
-  FleetConfig config;
-  config.seed = 2;
-  ServingFleet fleet(make_replicas(3, e.bundle_a, &chaos), config);
+  ServingFleet fleet(make_replicas(3, e.bundle_a, &chaos));
 
   RolloutConfig rollout;
   rollout.canary = 0;

@@ -6,13 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "anomaly/injector.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/dataset_io.hpp"
 #include "features/extractor.hpp"
 #include "features/mvts.hpp"
 #include "features/tsfresh.hpp"
@@ -280,81 +278,6 @@ TEST(SerializationRobustness, TruncationAlwaysThrowsNeverCrashes) {
     std::stringstream truncated(bytes.substr(0, cut));
     EXPECT_THROW(load_classifier(truncated), Error) << "cut at " << cut;
   }
-}
-
-namespace {
-
-// A small but fully populated matrix (all provenance vectors filled) so the
-// on-disk layout exercises every section of the format.
-FeatureMatrix tiny_feature_matrix() {
-  Rng rng(7);
-  FeatureMatrix fm;
-  fm.x = Matrix(8, 3);
-  fm.names = {"m0|mean", "m0|std", "m1|mean"};
-  for (std::size_t i = 0; i < 8; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) fm.x(i, j) = rng.uniform();
-    fm.labels.push_back(static_cast<int>(i % 4));
-    fm.app_ids.push_back(static_cast<int>(i % 2));
-    fm.input_ids.push_back(static_cast<int>(i % 3));
-    fm.run_ids.push_back(static_cast<int>(i / 4));
-    fm.node_ids.push_back(static_cast<int>(i % 4));
-  }
-  return fm;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-void spit(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-}  // namespace
-
-TEST(SerializationRobustness, FeatureMatrixRoundtripsThroughDisk) {
-  const std::string path = ::testing::TempDir() + "fm_roundtrip.bin";
-  const FeatureMatrix fm = tiny_feature_matrix();
-  save_feature_matrix(path, fm);
-  const FeatureMatrix back = load_feature_matrix(path);
-  ASSERT_EQ(back.x.rows(), fm.x.rows());
-  ASSERT_EQ(back.x.cols(), fm.x.cols());
-  for (std::size_t i = 0; i < fm.x.rows(); ++i) {
-    for (std::size_t j = 0; j < fm.x.cols(); ++j) {
-      EXPECT_EQ(back.x(i, j), fm.x(i, j));
-    }
-  }
-  EXPECT_EQ(back.names, fm.names);
-  EXPECT_EQ(back.labels, fm.labels);
-  EXPECT_EQ(back.node_ids, fm.node_ids);
-}
-
-TEST(SerializationRobustness, FeatureMatrixTruncationAlwaysThrowsNeverCrashes) {
-  const std::string path = ::testing::TempDir() + "fm_full.bin";
-  const std::string cut_path = ::testing::TempDir() + "fm_cut.bin";
-  save_feature_matrix(path, tiny_feature_matrix());
-  const std::string bytes = slurp(path);
-  ASSERT_GT(bytes.size(), 16u);
-
-  for (const double frac : {0.1, 0.3, 0.5, 0.7, 0.9, 0.99}) {
-    const auto cut = static_cast<std::size_t>(frac * bytes.size());
-    spit(cut_path, bytes.substr(0, cut));
-    EXPECT_THROW(load_feature_matrix(cut_path), Error) << "cut at " << cut;
-  }
-}
-
-TEST(SerializationRobustness, FeatureMatrixBitFlipRejected) {
-  const std::string path = ::testing::TempDir() + "fm_flip.bin";
-  save_feature_matrix(path, tiny_feature_matrix());
-  std::string bytes = slurp(path);
-  ASSERT_GT(bytes.size(), 4u);
-  bytes[2] ^= 0x20;  // corrupt the magic/header
-  spit(path, bytes);
-  EXPECT_THROW(load_feature_matrix(path), Error);
 }
 
 TEST(SerializationRobustness, BitFlippedMagicRejected) {

@@ -229,7 +229,6 @@ TEST(ServiceHost, QueueFullRejectsImmediately) {
   const HostEnv& e = env();
   Gate gate;
   ServingConfig serving;
-  serving.cache_capacity = 0;  // every request must reach the gate
   serving.extraction_hook = gate.hook();
   HostConfig config;
   config.workers = 1;
@@ -258,7 +257,6 @@ TEST(ServiceHost, QueuedRequestPastDeadlineIsShedWithoutWork) {
   const HostEnv& e = env();
   Gate gate;
   ServingConfig serving;
-  serving.cache_capacity = 0;
   serving.extraction_hook = gate.hook();
   HostConfig config;
   config.workers = 1;
@@ -290,7 +288,6 @@ TEST(ServiceHost, LateCompletionIsReportedAsDeadlineMiss) {
   const HostEnv& e = env();
   Gate gate;
   ServingConfig serving;
-  serving.cache_capacity = 0;
   serving.extraction_hook = gate.hook();
   HostConfig config;
   config.workers = 1;
@@ -319,7 +316,6 @@ TEST(ServiceHost, DrainCompletesAdmittedWorkAndShedsNew) {
   const HostEnv& e = env();
   Gate gate;
   ServingConfig serving;
-  serving.cache_capacity = 0;
   serving.extraction_hook = gate.hook();
   HostConfig config;
   config.workers = 1;
@@ -354,12 +350,10 @@ TEST(ServiceHost, DrainCompletesAdmittedWorkAndShedsNew) {
 // nothing admitted before the drain may be dropped. TSan target.
 TEST(ServiceHost, ConcurrentDrainsAreIdempotentAndLoseNoAdmittedWork) {
   const HostEnv& e = env();
-  ServingConfig serving;
-  serving.cache_capacity = 0;
   HostConfig config;
   config.workers = 2;
   config.queue_capacity = 16;
-  ServiceHost host(make_service(e.bundle_a, serving), config);
+  ServiceHost host(make_service(e.bundle_a), config);
   host.set_probe_windows({e.windows[0]});
 
   constexpr int kClients = 4;
@@ -416,7 +410,6 @@ TEST(ServiceHost, HealthBreakerTripsAndRecoversThroughProbes) {
   const HostEnv& e = env();
   std::atomic<bool> failing{true};
   ServingConfig serving;
-  serving.cache_capacity = 0;
   serving.extraction_hook = [&](const Matrix&) {
     if (failing.load()) throw Error("injected extraction failure");
   };
@@ -472,9 +465,6 @@ TEST(ServiceHost, ReloadSwapsGenerationAndInvalidatesCachedAnswers) {
   const DiagnosisResult before = host.diagnose({&e.windows[1]});
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before.generation, 1u);
-  const DiagnosisResult cached = host.diagnose({&e.windows[1]});
-  ASSERT_TRUE(cached.ok());
-  EXPECT_TRUE(cached.diagnosis.cache_hit);
 
   const ReloadReport report = host.reload(bundle_from_bytes(e.bundle_b));
   EXPECT_TRUE(report.ok) << report.error;
@@ -484,12 +474,11 @@ TEST(ServiceHost, ReloadSwapsGenerationAndInvalidatesCachedAnswers) {
   EXPECT_EQ(host.generation(), 2u);
   EXPECT_EQ(host.stats().reloads_ok, 1u);
 
-  // The swapped-in service must answer from the new bundle, never from
-  // the old service's cache: bit-identical to a fresh model-B service.
+  // The swapped-in service must answer from the new bundle, never with
+  // an answer of the old one: bit-identical to a fresh model-B service.
   const DiagnosisResult after = host.diagnose({&e.windows[1]});
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.generation, 2u);
-  EXPECT_FALSE(after.diagnosis.cache_hit);
   auto fresh_b = make_service(e.bundle_b);
   const Diagnosis expected = fresh_b->diagnose(e.windows[1]);
   EXPECT_EQ(after.diagnosis.label, expected.label);
@@ -558,7 +547,6 @@ TEST(ServiceHost, RetryWithBackoffRecoversFromTransientFailures) {
   const HostEnv& e = env();
   std::atomic<int> calls{0};
   ServingConfig serving;
-  serving.cache_capacity = 0;
   serving.extraction_hook = [&](const Matrix&) {
     if (calls.fetch_add(1) < 2) throw Error("transient");
   };
@@ -699,7 +687,6 @@ TEST(ServingChaos, HostedServiceSurvivesChaosWithTypedOutcomesOnly) {
   chaos_config.seed = 21;
   ServingChaos chaos(chaos_config);
   ServingConfig serving;
-  serving.cache_capacity = 0;
   serving.extraction_hook = chaos.hook();
   HostConfig config;
   config.workers = 2;

@@ -1,8 +1,8 @@
 // Tests for the serving layer: ModelBundle round-trips and corruption
 // rejection, the hardened ArchiveReader length checks, the fitted
 // transforms PreparedSplit exposes for export, and DiagnosisService
-// bit-identity with the offline pipeline (plus its cache and its
-// thread-safety contract — this file runs under TSan in CI).
+// bit-identity with the offline pipeline (plus its thread-safety
+// contract — this file runs under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -328,63 +328,38 @@ TEST(DiagnosisService, BitIdenticalToOfflinePipeline) {
 
   const ServingStats s = service.stats();
   EXPECT_EQ(s.windows, windows.size());
-  EXPECT_EQ(s.cache_misses, windows.size());  // all distinct, cold cache
+  EXPECT_EQ(s.batches, (windows.size() + 2) / 3);  // one pass per batch
   EXPECT_GT(s.windows_per_second(), 0.0);
 }
 
-TEST(DiagnosisService, CachesRepeatedWindows) {
+// No content cache: a repeated window runs the whole pipeline again and
+// gets the same answer bit for bit.
+TEST(DiagnosisService, RepeatedWindowRunsThePipelineEveryTime) {
   const ServingEnv& e = env();
   const std::vector<Sample> samples = fresh_samples(e, 1, 881);
   DiagnosisService service(load_from_bytes(e.bundle_bytes));
 
   const Diagnosis first = service.diagnose(samples[0].series);
-  EXPECT_FALSE(first.cache_hit);
+  const double extract_once = service.stats().extract_seconds;
+  EXPECT_GT(extract_once, 0.0);
   const Diagnosis again = service.diagnose(samples[0].series);
-  EXPECT_TRUE(again.cache_hit);
   EXPECT_EQ(again.label, first.label);
-  EXPECT_EQ(again.probs, first.probs);
+  ASSERT_EQ(again.probs.size(), first.probs.size());
+  for (std::size_t c = 0; c < first.probs.size(); ++c) {
+    std::uint64_t a = 0, b = 0;
+    std::memcpy(&a, &first.probs[c], sizeof a);
+    std::memcpy(&b, &again.probs[c], sizeof b);
+    EXPECT_EQ(a, b) << "probability bits differ at class " << c;
+  }
 
   const ServingStats s = service.stats();
   EXPECT_EQ(s.requests, 2u);
-  EXPECT_EQ(s.cache_hits, 1u);
-  EXPECT_EQ(s.cache_misses, 1u);
-  EXPECT_DOUBLE_EQ(s.hit_rate(), 0.5);
+  EXPECT_EQ(s.windows, 2u);
+  EXPECT_EQ(s.batches, 2u);
+  EXPECT_GT(s.extract_seconds, extract_once);  // the repeat extracted too
 
   service.reset_stats();
   EXPECT_EQ(service.stats().requests, 0u);
-}
-
-TEST(DiagnosisService, DedupsIdenticalWindowsWithinABatch) {
-  const ServingEnv& e = env();
-  const std::vector<Sample> samples = fresh_samples(e, 1, 882);
-  ASSERT_GE(samples.size(), 2u);
-  const std::vector<Matrix> windows{samples[0].series, samples[1].series,
-                                    samples[0].series, samples[1].series};
-  DiagnosisService service(load_from_bytes(e.bundle_bytes));
-  const auto out = service.diagnose_batch(windows);
-
-  EXPECT_FALSE(out[0].cache_hit);
-  EXPECT_FALSE(out[1].cache_hit);
-  EXPECT_TRUE(out[2].cache_hit);
-  EXPECT_TRUE(out[3].cache_hit);
-  EXPECT_EQ(out[2].probs, out[0].probs);
-  EXPECT_EQ(out[3].probs, out[1].probs);
-
-  const ServingStats s = service.stats();
-  EXPECT_EQ(s.cache_hits, 2u);    // the two intra-batch duplicates
-  EXPECT_EQ(s.cache_misses, 2u);  // the two distinct windows
-}
-
-TEST(DiagnosisService, CacheCapacityZeroDisablesCaching) {
-  const ServingEnv& e = env();
-  const std::vector<Sample> samples = fresh_samples(e, 1, 883);
-  ServingConfig serving;
-  serving.cache_capacity = 0;
-  DiagnosisService service(load_from_bytes(e.bundle_bytes), serving);
-  const Diagnosis first = service.diagnose(samples[0].series);
-  const Diagnosis again = service.diagnose(samples[0].series);
-  EXPECT_FALSE(again.cache_hit);
-  EXPECT_EQ(again.probs, first.probs);  // same answer, recomputed
 }
 
 TEST(DiagnosisService, InfiniteCellsServeLikeMissingOnes) {
@@ -394,9 +369,7 @@ TEST(DiagnosisService, InfiniteCellsServeLikeMissingOnes) {
   // set to NaN (missing).
   const ServingEnv& e = env();
   const std::vector<Sample> samples = fresh_samples(e, 1, 884);
-  ServingConfig serving;
-  serving.cache_capacity = 0;
-  DiagnosisService service(load_from_bytes(e.bundle_bytes), serving);
+  DiagnosisService service(load_from_bytes(e.bundle_bytes));
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   Matrix with_inf = samples[0].series;
@@ -546,8 +519,7 @@ TEST(ServingStats, CountersAccumulateWithoutLoss) {
   const ServingStats s = service.stats();
   EXPECT_EQ(s.requests, kRequests);
   EXPECT_EQ(s.windows, kRequests);
-  EXPECT_EQ(s.cache_hits + s.cache_misses, s.windows);
-  EXPECT_EQ(s.cache_misses, samples.size());  // each distinct window once
+  EXPECT_EQ(s.batches, kRequests);  // repeats run the pipeline too
   EXPECT_GE(s.total_seconds, s.predict_seconds);
   EXPECT_GT(s.latency_p99_ms, 0.0);
   EXPECT_GE(s.latency_p99_ms, s.latency_p50_ms);
@@ -559,7 +531,7 @@ TEST(ServingStats, CountersAccumulateWithoutLoss) {
 
 // The single-window fast path (diagnose) must be bit-identical to the
 // micro-batch path (diagnose_batch of one) — same label, confidence, and
-// probability bits — on fresh services so neither answers from cache.
+// probability bits.
 TEST(DiagnosisService, SingleWindowFastPathMatchesBatchPath) {
   const ServingEnv& e = env();
   const std::vector<Sample> samples = fresh_samples(e, 1, 993);
@@ -578,11 +550,9 @@ TEST(DiagnosisService, SingleWindowFastPathMatchesBatchPath) {
       EXPECT_EQ(ba, bb) << "probability bits differ at class " << c;
     }
   }
-  // The fast path populates the same cache: a repeat is a hit.
-  EXPECT_TRUE(single.diagnose(samples[0].series).cache_hit);
   const ServingStats s = single.stats();
-  EXPECT_EQ(s.requests, samples.size() + 1);
-  EXPECT_EQ(s.cache_hits, 1u);
+  EXPECT_EQ(s.requests, samples.size());
+  EXPECT_EQ(s.batches, samples.size());
 }
 
 TEST(ServingStats, SnapshotIsConsistentUnderConcurrentDiagnose) {
@@ -595,7 +565,7 @@ TEST(ServingStats, SnapshotIsConsistentUnderConcurrentDiagnose) {
     while (!stop.load()) {
       const ServingStats s = service.stats();
       // Snapshot invariants must hold at every instant, not just at rest.
-      if (s.cache_hits + s.cache_misses != s.windows) violations++;
+      if (s.batches != s.windows) violations++;  // one pass per window
       if (s.windows < s.requests) violations++;
     }
   });
@@ -618,8 +588,6 @@ TEST(ServingStats, CsvExporterMatchesRoundStatsConvention) {
   ServingStats a;
   a.requests = 3;
   a.windows = 5;
-  a.cache_hits = 1;
-  a.cache_misses = 4;
   a.total_seconds = 0.5;
   std::vector<std::pair<std::string, ServingStats>> rows;
   rows.emplace_back("batch=8/threads=2", a);
@@ -641,88 +609,6 @@ TEST(ServingStats, CsvExporterMatchesRoundStatsConvention) {
   ASSERT_TRUE(std::getline(is, line));
   EXPECT_EQ(columns(line), header_cols);
   EXPECT_FALSE(std::getline(is, line));
-}
-
-// -------------------------------------------------------- WindowCache ---
-
-Diagnosis labeled_diagnosis(int label) {
-  Diagnosis d;
-  d.label = label;
-  d.confidence = 1.0;
-  d.probs = {label == 0 ? 1.0 : 0.0, label == 0 ? 0.0 : 1.0};
-  return d;
-}
-
-// The collision regression: two distinct windows sharing a 64-bit content
-// hash must never be served each other's diagnosis. Real FNV collisions
-// are infeasible to craft, so the cache is probed with synthetic keys.
-TEST(WindowCache, HashCollisionIsAVerifiedMissNotAWrongAnswer) {
-  WindowKey a{42, 4, 2, 111, 222};
-  WindowKey b{42, 4, 2, 999, 222};  // same hash, different first cell
-  ASSERT_FALSE(a.matches(b));
-
-  WindowCache cache(8);
-  cache.insert(a, labeled_diagnosis(0));
-  Diagnosis out;
-  ASSERT_TRUE(cache.lookup(a, out));
-  EXPECT_EQ(out.label, 0);
-  EXPECT_TRUE(out.cache_hit);
-
-  // Before the fix this returned window a's diagnosis for window b.
-  EXPECT_FALSE(cache.lookup(b, out));
-  EXPECT_EQ(cache.collision_evictions(), 0u);
-
-  // Inserting the collider evicts the disproved entry and counts it.
-  cache.insert(b, labeled_diagnosis(1));
-  EXPECT_EQ(cache.collision_evictions(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-  ASSERT_TRUE(cache.lookup(b, out));
-  EXPECT_EQ(out.label, 1);
-  EXPECT_FALSE(cache.lookup(a, out));  // the evicted original
-}
-
-TEST(WindowCache, LruEvictionRespectsLookupRecency) {
-  const WindowKey k1{1, 1, 1, 0, 0};
-  const WindowKey k2{2, 1, 1, 0, 0};
-  const WindowKey k3{3, 1, 1, 0, 0};
-  WindowCache cache(2);
-  cache.insert(k1, labeled_diagnosis(0));
-  cache.insert(k2, labeled_diagnosis(1));
-  Diagnosis out;
-  ASSERT_TRUE(cache.lookup(k1, out));  // refresh k1: k2 is now oldest
-  cache.insert(k3, labeled_diagnosis(0));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.lookup(k1, out));
-  EXPECT_FALSE(cache.lookup(k2, out));
-  EXPECT_TRUE(cache.lookup(k3, out));
-  EXPECT_EQ(cache.collision_evictions(), 0u);  // capacity, not collision
-}
-
-TEST(WindowCache, CapacityZeroDropsEverything) {
-  WindowCache cache(0);
-  const WindowKey k{7, 1, 1, 0, 0};
-  cache.insert(k, labeled_diagnosis(1));
-  Diagnosis out;
-  EXPECT_FALSE(cache.lookup(k, out));
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(WindowCache, WindowKeyCarriesShapeAndBoundaryCells) {
-  Matrix m = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}});
-  const WindowKey k = window_key(m);
-  EXPECT_EQ(k.rows, 2u);
-  EXPECT_EQ(k.cols, 2u);
-  EXPECT_EQ(k.hash, hash_window(m));
-  EXPECT_TRUE(k.matches(window_key(m)));
-
-  Matrix changed = m;
-  changed(1, 1) = 5.0;  // last cell differs -> verifier differs too
-  EXPECT_FALSE(k.matches(window_key(changed)));
-  EXPECT_NE(k.last_bits, window_key(changed).last_bits);
-
-  const WindowKey empty = window_key(Matrix(0, 0));
-  EXPECT_EQ(empty.first_bits, 0u);
-  EXPECT_EQ(empty.last_bits, 0u);
 }
 
 // ------------------------------------------- wall-clock throughput ---
@@ -797,7 +683,6 @@ TEST(ServingStats, CsvLabelsWithCommasSurviveParseBack) {
   ServingStats a;
   a.requests = 2;
   a.windows = 4;
-  a.cache_misses = 4;
   a.total_seconds = 0.25;
   a.wall_seconds = 0.125;
   a.latency_p999_ms = 7.5;
@@ -821,7 +706,7 @@ TEST(ServingStats, CsvLabelsWithCommasSurviveParseBack) {
   EXPECT_EQ(table.rows[0][table.column_index("label")], tricky);
   EXPECT_EQ(table.rows[0][table.column_index("windows")], "4");
   EXPECT_EQ(table.rows[0][table.column_index("wall_seconds")], "0.125000");
-  EXPECT_EQ(table.rows[0][table.column_index("collision_evictions")], "0");
+  EXPECT_EQ(table.header.size(), 13u);  // label + 12 counters/timings
   EXPECT_EQ(table.rows[0][table.column_index("latency_p999_ms")], "7.5000");
   EXPECT_EQ(table.rows[0][table.column_index("latency_min_ms")], "0.2500");
   EXPECT_EQ(table.rows[1][table.column_index("label")], "plain");
@@ -834,8 +719,6 @@ TEST(ServingStats, MergeSumsCountersAndWeightsPercentilesByRequests) {
   a.requests = 3;
   a.windows = 6;
   a.batches = 2;
-  a.cache_hits = 1;
-  a.cache_misses = 5;
   a.extract_seconds = 0.5;
   a.predict_seconds = 0.25;
   a.total_seconds = 1.0;
@@ -848,8 +731,6 @@ TEST(ServingStats, MergeSumsCountersAndWeightsPercentilesByRequests) {
   b.requests = 1;
   b.windows = 1;
   b.batches = 1;
-  b.cache_misses = 1;
-  b.collision_evictions = 2;
   b.extract_seconds = 0.1;
   b.total_seconds = 0.2;
   b.wall_seconds = 3.0;  // replicas overlap: max, not sum
@@ -865,9 +746,6 @@ TEST(ServingStats, MergeSumsCountersAndWeightsPercentilesByRequests) {
   EXPECT_EQ(m.requests, 4u);
   EXPECT_EQ(m.windows, 7u);
   EXPECT_EQ(m.batches, 3u);
-  EXPECT_EQ(m.cache_hits, 1u);
-  EXPECT_EQ(m.cache_misses, 6u);
-  EXPECT_EQ(m.collision_evictions, 2u);
   EXPECT_DOUBLE_EQ(m.extract_seconds, 0.6);
   EXPECT_DOUBLE_EQ(m.predict_seconds, 0.25);
   EXPECT_DOUBLE_EQ(m.total_seconds, 1.2);
@@ -896,8 +774,6 @@ TEST(ServingStats, FleetCsvParseBackIncludesAggregateRow) {
   ServingStats a;
   a.requests = 2;
   a.windows = 2;
-  a.cache_hits = 1;
-  a.cache_misses = 1;
   a.total_seconds = 0.5;
   a.latency_p50_ms = 4.0;
   a.latency_p99_ms = 8.0;
@@ -906,7 +782,6 @@ TEST(ServingStats, FleetCsvParseBackIncludesAggregateRow) {
   ServingStats b;
   b.requests = 6;
   b.windows = 6;
-  b.cache_misses = 6;
   b.total_seconds = 0.25;
   b.latency_p50_ms = 1.0;
   b.latency_p99_ms = 2.0;
@@ -932,7 +807,6 @@ TEST(ServingStats, FleetCsvParseBackIncludesAggregateRow) {
   EXPECT_EQ(table.rows[2][table.column_index("label")], "fleet");
   EXPECT_EQ(table.rows[2][table.column_index("requests")], "8");
   EXPECT_EQ(table.rows[2][table.column_index("windows")], "8");
-  EXPECT_EQ(table.rows[2][table.column_index("cache_hits")], "1");
   // Weighted p50: (2*4 + 6*1) / 8 = 1.75.
   EXPECT_EQ(table.rows[2][table.column_index("latency_p50_ms")], "1.7500");
   // Weighted p99.9: (2*16 + 6*4) / 8 = 7; min: min(2.0, 0.5).
@@ -978,11 +852,7 @@ TEST(DiagnosisService, ConcurrentDiagnoseIsThreadSafe) {
   std::vector<Matrix> windows;
   for (const Sample& s : samples) windows.push_back(s.series);
 
-  // A 2-entry cache over 4 distinct windows keeps eviction, insertion, and
-  // the extraction path all active under contention.
-  ServingConfig serving;
-  serving.cache_capacity = 2;
-  DiagnosisService service(load_from_bytes(e.bundle_bytes), serving);
+  DiagnosisService service(load_from_bytes(e.bundle_bytes));
   const auto reference = service.diagnose_batch(windows);
 
   constexpr int kThreads = 4;

@@ -1,5 +1,5 @@
-// Tests for FFT, Welch PSD, entropies, autocorrelation, regression,
-// chi-square scoring, and histograms.
+// Tests for FFT, Welch PSD, entropies, autocorrelation, regression, and
+// chi-square scoring.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,7 +12,6 @@
 #include "stats/chi2.hpp"
 #include "stats/entropy.hpp"
 #include "stats/fft.hpp"
-#include "stats/histogram.hpp"
 #include "stats/regression.hpp"
 #include "stats/welch.hpp"
 
@@ -402,43 +401,6 @@ TEST(Chi2, RejectsShapeMismatch) {
   Matrix x(3, 1, 1.0);
   const std::vector<int> y{0, 1};
   EXPECT_THROW(chi2_scores(x, y), Error);
-}
-
-// ------------------------------------------------------------ histogram ---
-
-TEST(Histogram, CountsSumToN) {
-  Rng rng(11);
-  std::vector<double> x(500);
-  for (auto& v : x) v = rng.uniform(0.0, 10.0);
-  const Histogram h = make_histogram(x, 20);
-  std::size_t total = 0;
-  for (const auto c : h.counts) total += c;
-  EXPECT_EQ(total, 500u);
-  EXPECT_DOUBLE_EQ(h.lo, *std::min_element(x.begin(), x.end()));
-}
-
-TEST(Histogram, ConstantDataFillsFirstBin) {
-  const std::vector<double> x(10, 3.0);
-  const Histogram h = make_histogram(x, 4);
-  EXPECT_EQ(h.counts[0], 10u);
-}
-
-TEST(Histogram, IqrFencesAndOutliers) {
-  // 1..100 plus one extreme outlier.
-  std::vector<double> x;
-  for (int i = 1; i <= 100; ++i) x.push_back(static_cast<double>(i));
-  x.push_back(1000.0);
-  const auto f = iqr_fences(x);
-  EXPECT_GT(f.upper, 100.0);
-  EXPECT_LT(f.upper, 1000.0);
-  const double ratio = outlier_ratio_iqr(x);
-  EXPECT_NEAR(ratio, 1.0 / 101.0, 1e-9);
-}
-
-TEST(Histogram, NoOutliersInUniform) {
-  std::vector<double> x;
-  for (int i = 0; i < 100; ++i) x.push_back(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(outlier_ratio_iqr(x), 0.0);
 }
 
 }  // namespace

@@ -714,7 +714,6 @@ TEST(DiagnoserTiers, PipelineFaultIsAFailedStatusNotAnException) {
   const Sample sample = fresh_sample(e, 779);
 
   ServingConfig serving;
-  serving.cache_capacity = 0;
   serving.extraction_hook = [](const Matrix&) { throw Error("injected"); };
   auto service = tier_service(e, serving);
 
@@ -730,7 +729,6 @@ TEST(DiagnoserTiers, GenericRetryRecoversOnAnyTier) {
 
   std::atomic<int> calls{0};
   ServingConfig serving;
-  serving.cache_capacity = 0;
   serving.extraction_hook = [&](const Matrix&) {
     if (calls.fetch_add(1) < 2) throw Error("transient");
   };
