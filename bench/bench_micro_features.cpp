@@ -1,12 +1,15 @@
 // Microbenchmarks for the telemetry + feature-extraction substrates: node
 // simulation throughput, preprocessing, and per-series cost of the MVTS and
-// TSFRESH-like extractors (including the O(n²) entropy features that
-// dominate TSFRESH). Extraction runs on two kinds of series: uniform random
+// TSFRESH-like extractors (including the O(n²) entropy sweep), and TSFRESH
+// at a served window's length through the full plan and through a
+// 10-of-111 plan like one metric of a serving bundle's. Extraction runs on
+// two kinds of series: uniform random
 // values (all distinct) and small integers (tie-heavy, like idle counters
 // and quantized gauges), which load the value-count table and the entropy
 // template matches far more.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -82,7 +85,7 @@ void BM_MvtsExtract(benchmark::State& state) {
       random_series(static_cast<std::size_t>(state.range(0)), state.range(1), 2);
   std::vector<double> out(mvts.num_features());
   for (auto _ : state) {
-    mvts.extract(x, out);
+    mvts.extract(x, FeaturePlan::all(), out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -97,7 +100,7 @@ void BM_TsfreshExtract(benchmark::State& state) {
       random_series(static_cast<std::size_t>(state.range(0)), state.range(1), 3);
   std::vector<double> out(ts.num_features());
   for (auto _ : state) {
-    ts.extract(x, out);
+    ts.extract(x, FeaturePlan::all(), out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -106,14 +109,43 @@ void BM_TsfreshExtract(benchmark::State& state) {
 }
 BENCHMARK(BM_TsfreshExtract)->Apply(extract_args);
 
-void BM_ApproximateEntropy(benchmark::State& state) {
+// One served metric at n = 48 (a 60-row window after trim and
+// differencing): range(0) = 0 extracts all 111 cells through
+// FeaturePlan::all(), 1 extracts 10 cells (moments, sort and FFT cells,
+// as a typical metric of the Volta bundle keeps) through a compiled plan.
+void BM_TsfreshPlan(benchmark::State& state) {
+  const TsfreshExtractor ts;
+  const auto x = random_series(48, state.range(1), 3);
+  std::vector<std::pair<std::size_t, std::size_t>> cells;
+  for (const char* name :
+       {"mean", "std", "median", "iqr", "quantile_q90", "count_above_mean",
+        "trend_slope", "energy_chunk0", "fft_abs_k1", "fft_imag_k2"}) {
+    const auto& names = ts.feature_names();
+    const auto it = std::find(names.begin(), names.end(), name);
+    cells.emplace_back(static_cast<std::size_t>(it - names.begin()),
+                       cells.size());
+  }
+  const FeaturePlan plan =
+      state.range(0) == 0 ? FeaturePlan::all() : ts.plan(cells);
+  std::vector<double> out(ts.num_features());
+  for (auto _ : state) {
+    ts.extract(x, plan, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TsfreshPlan)->ArgsProduct({{0, 1}, {kUniform, kTies}});
+
+void BM_TemplateEntropies(benchmark::State& state) {
   const auto x =
       random_series(static_cast<std::size_t>(state.range(0)), state.range(1), 4);
+  const double sd = stats::stddev(x);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::approximate_entropy(x));
+    benchmark::DoNotOptimize(stats::template_entropies(x, sd, 2, 0.2));
   }
 }
-BENCHMARK(BM_ApproximateEntropy)
+BENCHMARK(BM_TemplateEntropies)
     ->ArgsProduct({{64, 128, 256}, {kUniform, kTies}});
 
 void BM_WelchPsd(benchmark::State& state) {

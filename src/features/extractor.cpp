@@ -65,7 +65,7 @@ FeatureMatrix extract_features(const std::vector<Sample>& samples,
     auto row = fm.x.row(s);
     for (std::size_t j = 0; j < m; ++j) {
       const std::vector<double> col = clean.col(j);
-      extractor.extract(col, row.subspan(j * f, f));
+      extractor.extract(col, FeaturePlan::all(), row.subspan(j * f, f));
     }
     fm.labels[s] = anomaly_label(sample.label);
     fm.app_ids[s] = sample.app_id;
@@ -131,7 +131,7 @@ FeatureMatrix extract_features_robust(const std::vector<Sample>& samples,
       }
       const std::vector<double> col = clean.col(j);
       try {
-        extractor.extract(col, block);
+        extractor.extract(col, FeaturePlan::all(), block);
       } catch (const Error&) {
         for (auto& v : block) v = 0.0;
         ++failures[s];

@@ -26,10 +26,6 @@ double autocorrelation(std::span<const double> x, const Moments& mo,
   return acc / mo.ssd;
 }
 
-double autocorrelation(std::span<const double> x, std::size_t lag) noexcept {
-  return autocorrelation(x, moments(x), lag);
-}
-
 std::vector<double> acf(std::span<const double> x, const Moments& mo,
                         std::size_t max_lag) {
   std::vector<double> out(max_lag + 1);
@@ -37,10 +33,6 @@ std::vector<double> acf(std::span<const double> x, const Moments& mo,
     out[lag] = autocorrelation(x, mo, lag);
   }
   return out;
-}
-
-std::vector<double> acf(std::span<const double> x, std::size_t max_lag) {
-  return acf(x, moments(x), max_lag);
 }
 
 double agg_autocorrelation_mean_abs(std::span<const double> rho) noexcept {
@@ -53,11 +45,6 @@ double agg_autocorrelation_mean_abs(std::span<const double> rho) noexcept {
     }
   }
   return count ? acc / static_cast<double>(count) : kNaN;
-}
-
-double agg_autocorrelation_mean_abs(std::span<const double> x,
-                                    std::size_t max_lag) {
-  return agg_autocorrelation_mean_abs(acf(x, max_lag));
 }
 
 void partial_autocorrelations(std::span<const double> rho,
@@ -92,13 +79,6 @@ void partial_autocorrelations(std::span<const double> rho,
     phi_prev = phi_cur;
     out[k - 1] = phi_prev[k];
   }
-}
-
-double partial_autocorrelation(std::span<const double> x, std::size_t lag) {
-  if (lag == 0) return 1.0;
-  std::vector<double> out(lag);
-  partial_autocorrelations(acf(x, lag), out);
-  return out.back();
 }
 
 }  // namespace alba::stats

@@ -95,10 +95,6 @@ double skewness(std::span<const double> x, const Moments& mo) noexcept {
   return acc / static_cast<double>(x.size());
 }
 
-double skewness(std::span<const double> x) noexcept {
-  return skewness(x, moments(x));
-}
-
 double kurtosis(std::span<const double> x, const Moments& mo) noexcept {
   if (x.size() < 4) return kNaN;
   const double m = mo.mean;
@@ -112,26 +108,14 @@ double kurtosis(std::span<const double> x, const Moments& mo) noexcept {
   return acc / static_cast<double>(x.size()) - 3.0;
 }
 
-double kurtosis(std::span<const double> x) noexcept {
-  return kurtosis(x, moments(x));
-}
-
 double variation_coefficient(const Moments& mo) noexcept {
   if (std::abs(mo.mean) < 1e-300) return kNaN;
   return mo.stddev / std::abs(mo.mean);
 }
 
-double variation_coefficient(std::span<const double> x) noexcept {
-  return variation_coefficient(moments(x));
-}
-
 double root_mean_square(const Moments& mo) noexcept {
   if (mo.n == 0) return kNaN;
   return std::sqrt(mo.energy / static_cast<double>(mo.n));
-}
-
-double root_mean_square(std::span<const double> x) noexcept {
-  return root_mean_square(moments(x));
 }
 
 double absolute_sum_of_changes(std::span<const double> x) noexcept {
@@ -143,10 +127,6 @@ double absolute_sum_of_changes(std::span<const double> x) noexcept {
 double mean_abs_change(std::size_t n, double abs_sum_of_changes) noexcept {
   if (n < 2) return kNaN;
   return abs_sum_of_changes / static_cast<double>(n - 1);
-}
-
-double mean_abs_change(std::span<const double> x) noexcept {
-  return mean_abs_change(x.size(), absolute_sum_of_changes(x));
 }
 
 double mean_change(std::span<const double> x) noexcept {
@@ -173,14 +153,6 @@ std::size_t count_below(std::span<const double> x, double t) noexcept {
   std::size_t n = 0;
   for (double v : x) n += (v < t) ? 1 : 0;
   return n;
-}
-
-std::size_t count_above_mean(std::span<const double> x) noexcept {
-  return count_above(x, mean(x));
-}
-
-std::size_t count_below_mean(std::span<const double> x) noexcept {
-  return count_below(x, mean(x));
 }
 
 namespace {
@@ -253,14 +225,6 @@ std::size_t longest_run_below(std::span<const double> x, double t) noexcept {
   return longest_run(x, [&x, t](std::size_t i) { return x[i] < t; });
 }
 
-std::size_t longest_run_above_mean(std::span<const double> x) noexcept {
-  return longest_run_above(x, mean(x));
-}
-
-std::size_t longest_run_below_mean(std::span<const double> x) noexcept {
-  return longest_run_below(x, mean(x));
-}
-
 std::size_t number_of_peaks(std::span<const double> x, std::size_t support) noexcept {
   if (x.size() < 2 * support + 1 || support == 0) return 0;
   std::size_t count = 0;
@@ -292,10 +256,6 @@ double ratio_beyond_r_sigma(std::span<const double> x, const Moments& mo,
   return static_cast<double>(count) / static_cast<double>(x.size());
 }
 
-double ratio_beyond_r_sigma(std::span<const double> x, double r) noexcept {
-  return ratio_beyond_r_sigma(x, moments(x), r);
-}
-
 ValueCounts value_counts(std::span<const double> x) {
   ValueCounts counts;
   for (double v : x) ++counts[v];
@@ -309,22 +269,10 @@ bool has_duplicate(const ValueCounts& counts) noexcept {
   return false;
 }
 
-bool has_duplicate(std::span<const double> x) {
-  return has_duplicate(value_counts(x));
-}
-
 bool has_duplicate_value(std::span<const double> x, double extreme) noexcept {
   std::size_t count = 0;
   for (double v : x) count += (v == extreme) ? 1 : 0;
   return count > 1;
-}
-
-bool has_duplicate_max(std::span<const double> x) noexcept {
-  return has_duplicate_value(x, maximum(x));
-}
-
-bool has_duplicate_min(std::span<const double> x) noexcept {
-  return has_duplicate_value(x, minimum(x));
 }
 
 double sum_of_reoccurring_values(const ValueCounts& counts) noexcept {
@@ -335,10 +283,6 @@ double sum_of_reoccurring_values(const ValueCounts& counts) noexcept {
   return acc;
 }
 
-double sum_of_reoccurring_values(std::span<const double> x) {
-  return sum_of_reoccurring_values(value_counts(x));
-}
-
 double percentage_of_reoccurring_datapoints(const ValueCounts& counts) noexcept {
   if (counts.empty()) return kNaN;
   std::size_t reoccurring = 0;
@@ -346,10 +290,6 @@ double percentage_of_reoccurring_datapoints(const ValueCounts& counts) noexcept 
     if (c > 1) ++reoccurring;
   }
   return static_cast<double>(reoccurring) / static_cast<double>(counts.size());
-}
-
-double percentage_of_reoccurring_datapoints(std::span<const double> x) {
-  return percentage_of_reoccurring_datapoints(value_counts(x));
 }
 
 double c3(std::span<const double> x, std::size_t lag) noexcept {
@@ -383,10 +323,6 @@ double cid_ce(std::span<const double> x, bool normalize,
   return std::sqrt(acc);
 }
 
-double cid_ce(std::span<const double> x, bool normalize) noexcept {
-  return cid_ce(x, normalize, moments(x));
-}
-
 double time_reversal_asymmetry(std::span<const double> x, std::size_t lag) noexcept {
   if (x.size() < 2 * lag + 1) return kNaN;
   const std::size_t n = x.size() - 2 * lag;
@@ -402,16 +338,8 @@ bool large_standard_deviation(const Moments& mo, double r) noexcept {
   return mo.stddev > r * mo.range;
 }
 
-bool large_standard_deviation(std::span<const double> x, double r) noexcept {
-  return large_standard_deviation(moments(x), r);
-}
-
 bool symmetry_looking(const Moments& mo, double median, double r) noexcept {
   return std::abs(mo.mean - median) < r * mo.range;
-}
-
-bool symmetry_looking(std::span<const double> x, double r) {
-  return symmetry_looking(moments(x), median(x), r);
 }
 
 }  // namespace alba::stats

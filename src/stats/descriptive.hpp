@@ -7,8 +7,9 @@
 //
 // Statistics that read a shared intermediate — the moments, the sorted
 // series, the value-count table — take it as an argument, so an extractor
-// computes each intermediate once per series. The overload that takes only
-// the series computes the intermediate itself and gives the same bits.
+// computes each intermediate once per series, and only when a statistic it
+// extracts reads it (features/feature_plan.hpp); there is no series-only
+// overload that rebuilds it.
 #pragma once
 
 #include <cstddef>
@@ -57,26 +58,19 @@ double median(std::span<const double> x);
 
 /// Fisher skewness (g1); NaN when stddev is ~0.
 double skewness(std::span<const double> x, const Moments& mo) noexcept;
-double skewness(std::span<const double> x) noexcept;
 /// Excess kurtosis (g2); NaN when stddev is ~0.
 double kurtosis(std::span<const double> x, const Moments& mo) noexcept;
-double kurtosis(std::span<const double> x) noexcept;
 /// Coefficient of variation: stddev / |mean|; NaN when mean ~ 0.
 double variation_coefficient(const Moments& mo) noexcept;
-double variation_coefficient(std::span<const double> x) noexcept;
 double root_mean_square(const Moments& mo) noexcept;
-double root_mean_square(std::span<const double> x) noexcept;
 double absolute_sum_of_changes(std::span<const double> x) noexcept;
 /// absolute_sum_of_changes / (n - 1).
 double mean_abs_change(std::size_t n, double abs_sum_of_changes) noexcept;
-double mean_abs_change(std::span<const double> x) noexcept;
 double mean_change(std::span<const double> x) noexcept;
 /// Second derivative central mean: mean of (x[i+1] - 2x[i] + x[i-1]) / 2.
 double mean_second_derivative_central(std::span<const double> x) noexcept;
 std::size_t count_above(std::span<const double> x, double t) noexcept;
 std::size_t count_below(std::span<const double> x, double t) noexcept;
-std::size_t count_above_mean(std::span<const double> x) noexcept;
-std::size_t count_below_mean(std::span<const double> x) noexcept;
 /// Index (0-based) of first/last occurrence of min/max, as a fraction of n.
 double first_location_of_maximum(std::span<const double> x) noexcept;
 double first_location_of_minimum(std::span<const double> x) noexcept;
@@ -88,8 +82,6 @@ std::size_t longest_strictly_decreasing_run(std::span<const double> x) noexcept;
 /// Longest run of values strictly above / below t.
 std::size_t longest_run_above(std::span<const double> x, double t) noexcept;
 std::size_t longest_run_below(std::span<const double> x, double t) noexcept;
-std::size_t longest_run_above_mean(std::span<const double> x) noexcept;
-std::size_t longest_run_below_mean(std::span<const double> x) noexcept;
 /// Number of local maxima with support window `support` on each side.
 std::size_t number_of_peaks(std::span<const double> x, std::size_t support) noexcept;
 /// Number of times the series crosses value `t` (sign changes of x - t).
@@ -97,26 +89,20 @@ std::size_t number_of_crossings(std::span<const double> x, double t) noexcept;
 /// Fraction of values farther than r standard deviations from the mean.
 double ratio_beyond_r_sigma(std::span<const double> x, const Moments& mo,
                             double r) noexcept;
-double ratio_beyond_r_sigma(std::span<const double> x, double r) noexcept;
 
 /// Occurrences of each distinct value, inserted in index order (the table's
 /// iteration order, and so the reoccurring-value sum, depends on that).
 using ValueCounts = std::unordered_map<double, std::size_t>;
 ValueCounts value_counts(std::span<const double> x);
 
-/// Whether there are duplicate values / duplicate of min / duplicate of max.
+/// Whether any value occurs more than once.
 bool has_duplicate(const ValueCounts& counts) noexcept;
-bool has_duplicate(std::span<const double> x);
 /// Whether `extreme` (the series' min or max) occurs more than once.
 bool has_duplicate_value(std::span<const double> x, double extreme) noexcept;
-bool has_duplicate_max(std::span<const double> x) noexcept;
-bool has_duplicate_min(std::span<const double> x) noexcept;
 /// Sum of values occurring more than once (tsfresh sum_of_reoccurring_values).
 double sum_of_reoccurring_values(const ValueCounts& counts) noexcept;
-double sum_of_reoccurring_values(std::span<const double> x);
 /// Percentage of distinct values appearing more than once.
 double percentage_of_reoccurring_datapoints(const ValueCounts& counts) noexcept;
-double percentage_of_reoccurring_datapoints(std::span<const double> x);
 
 /// Nonlinearity measure c3(lag): mean of x[i+2l]*x[i+l]*x[i].
 double c3(std::span<const double> x, std::size_t lag) noexcept;
@@ -124,14 +110,11 @@ double c3(std::span<const double> x, std::size_t lag) noexcept;
 /// the z-normalized series (which reads mo.mean and mo.stddev).
 double cid_ce(std::span<const double> x, bool normalize,
               const Moments& mo) noexcept;
-double cid_ce(std::span<const double> x, bool normalize) noexcept;
 /// Time reversal asymmetry statistic with lag.
 double time_reversal_asymmetry(std::span<const double> x, std::size_t lag) noexcept;
 /// Large standard deviation test: stddev > r * range.
 bool large_standard_deviation(const Moments& mo, double r) noexcept;
-bool large_standard_deviation(std::span<const double> x, double r) noexcept;
 /// Symmetry: |mean - median| < r * range.
 bool symmetry_looking(const Moments& mo, double median, double r) noexcept;
-bool symmetry_looking(std::span<const double> x, double r);
 
 }  // namespace alba::stats

@@ -68,15 +68,6 @@ TemplateEntropies template_entropies(std::span<const double> x, double stddev,
   return out;
 }
 
-double approximate_entropy(std::span<const double> x, std::size_t m,
-                           double r_frac) {
-  return template_entropies(x, stddev(x), m, r_frac).approximate;
-}
-
-double sample_entropy(std::span<const double> x, std::size_t m, double r_frac) {
-  return template_entropies(x, stddev(x), m, r_frac).sample;
-}
-
 double binned_entropy(std::span<const double> x, const Moments& mo,
                       std::size_t bins) {
   if (x.empty() || bins == 0) return kNaN;
@@ -94,10 +85,6 @@ double binned_entropy(std::span<const double> x, const Moments& mo,
   const double inv_n = 1.0 / static_cast<double>(x.size());
   for (auto& c : counts) c *= inv_n;
   return shannon_entropy(counts);
-}
-
-double binned_entropy(std::span<const double> x, std::size_t bins) {
-  return binned_entropy(x, moments(x), bins);
 }
 
 double shannon_entropy(std::span<const double> probs) noexcept {

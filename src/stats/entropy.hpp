@@ -23,19 +23,10 @@ struct TemplateEntropies {
 TemplateEntropies template_entropies(std::span<const double> x, double stddev,
                                      std::size_t m, double r_frac);
 
-/// Approximate entropy ApEn(m, r·std).
-double approximate_entropy(std::span<const double> x, std::size_t m = 2,
-                           double r_frac = 0.2);
-
-/// Sample entropy SampEn(m, r·std).
-double sample_entropy(std::span<const double> x, std::size_t m = 2,
-                      double r_frac = 0.2);
-
 /// Shannon entropy of the histogram of x with `bins` equal-width bins over
 /// [min, max]. Matches tsfresh binned_entropy.
 double binned_entropy(std::span<const double> x, const Moments& mo,
                       std::size_t bins);
-double binned_entropy(std::span<const double> x, std::size_t bins = 10);
 
 /// Shannon entropy of a discrete probability vector (base e); ignores zeros.
 double shannon_entropy(std::span<const double> probs) noexcept;

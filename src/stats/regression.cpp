@@ -51,10 +51,6 @@ LinearTrend linear_trend(std::span<const double> y, double y_mean) noexcept {
   return out;
 }
 
-LinearTrend linear_trend(std::span<const double> y) noexcept {
-  return linear_trend(y, mean(y));
-}
-
 double pearson(std::span<const double> a, std::span<const double> b) noexcept {
   ALBA_DCHECK(a.size() == b.size());
   const std::size_t n = a.size();

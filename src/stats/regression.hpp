@@ -16,7 +16,6 @@ struct LinearTrend {
 /// Fits y = slope·t + intercept with t = 0..n-1, given y_mean = mean(y).
 /// NaN fields for n < 2 or zero variance.
 LinearTrend linear_trend(std::span<const double> y, double y_mean) noexcept;
-LinearTrend linear_trend(std::span<const double> y) noexcept;
 
 /// Pearson correlation of two equal-length series.
 double pearson(std::span<const double> a, std::span<const double> b) noexcept;

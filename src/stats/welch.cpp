@@ -30,14 +30,10 @@ WelchResult welch_psd(std::span<const double> signal,
   const std::size_t step = std::max<std::size_t>(1, seg / 2);  // 50% overlap
   const std::size_t nbins = seg / 2 + 1;
 
-  // Hann window and its normalization.
-  std::vector<double> window(seg);
-  double win_power = 0.0;
-  for (std::size_t i = 0; i < seg; ++i) {
-    window[i] = 0.5 - 0.5 * std::cos(2.0 * M_PI * static_cast<double>(i) /
-                                     static_cast<double>(seg));
-    win_power += window[i] * window[i];
-  }
+  // Hann window and its normalization, shared per segment length.
+  const Pow2Tables& tables = pow2_tables(seg);
+  const std::vector<double>& window = tables.hann;
+  const double win_power = tables.hann_power;
 
   WelchResult result;
   result.frequencies.resize(nbins);

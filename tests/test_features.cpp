@@ -226,7 +226,7 @@ TEST(Mvts, KnownValuesOnSimpleSeries) {
   std::vector<double> x;
   for (int i = 1; i <= 20; ++i) x.push_back(static_cast<double>(i));
   std::vector<double> out(mvts.num_features());
-  mvts.extract(x, out);
+  mvts.extract(x, FeaturePlan::all(), out);
 
   const auto& names = mvts.feature_names();
   auto feature = [&](const std::string& name) {
@@ -250,7 +250,7 @@ TEST(Mvts, RejectsWrongOutputSize) {
   const MvtsExtractor mvts;
   std::vector<double> x(20, 1.0);
   std::vector<double> out(10);
-  EXPECT_THROW(mvts.extract(x, out), Error);
+  EXPECT_THROW(mvts.extract(x, FeaturePlan::all(), out), Error);
 }
 
 TEST(Mvts, AllFiniteOnNoisySeries) {
@@ -259,7 +259,7 @@ TEST(Mvts, AllFiniteOnNoisySeries) {
   std::vector<double> x(64);
   for (auto& v : x) v = rng.uniform(0.0, 100.0);
   std::vector<double> out(mvts.num_features());
-  mvts.extract(x, out);
+  mvts.extract(x, FeaturePlan::all(), out);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_TRUE(std::isfinite(out[i])) << mvts.feature_names()[i];
   }
@@ -286,7 +286,7 @@ TEST(Tsfresh, MostlyFiniteOnNoisySeries) {
   std::vector<double> x(96);
   for (auto& v : x) v = rng.uniform(1.0, 100.0);
   std::vector<double> out(ts.num_features());
-  ts.extract(x, out);
+  ts.extract(x, FeaturePlan::all(), out);
   std::size_t finite = 0;
   for (const double v : out) finite += std::isfinite(v) ? 1 : 0;
   EXPECT_GE(finite, out.size() - 2);  // the odd NaN (e.g. SampEn) is allowed
@@ -299,7 +299,7 @@ TEST(Tsfresh, PeriodicSeriesShowsSpectralPeak) {
     x[i] = 10.0 + std::sin(2.0 * M_PI * static_cast<double>(i) / 8.0);
   }
   std::vector<double> out(ts.num_features());
-  ts.extract(x, out);
+  ts.extract(x, FeaturePlan::all(), out);
   const auto& names = ts.feature_names();
   auto feature = [&](const std::string& name) {
     for (std::size_t i = 0; i < names.size(); ++i) {
@@ -327,7 +327,7 @@ TEST(Tsfresh, TooShortSeriesThrows) {
   const TsfreshExtractor ts;
   std::vector<double> x(4, 1.0);
   std::vector<double> out(ts.num_features());
-  EXPECT_THROW(ts.extract(x, out), Error);
+  EXPECT_THROW(ts.extract(x, FeaturePlan::all(), out), Error);
 }
 
 // ------------------------------------------------ reference composition ---
@@ -1010,7 +1010,7 @@ TEST(ExtractorBitIdentity, BothExtractorsMatchReferenceComposition) {
     const std::vector<double>& x = corpus[s];
     std::vector<double> got(mvts.num_features());
     std::vector<double> want(mvts.num_features());
-    mvts.extract(x, got);
+    mvts.extract(x, FeaturePlan::all(), got);
     reference::mvts(x, want);
     diffs += count_bit_differences(got, want, mvts.feature_names(), s);
     cells += got.size();
@@ -1018,7 +1018,7 @@ TEST(ExtractorBitIdentity, BothExtractorsMatchReferenceComposition) {
     for (const TsfreshExtractor* ts : {&tsfresh, &tsfresh_odd}) {
       got.assign(ts->num_features(), 0.0);
       want.assign(ts->num_features(), 0.0);
-      ts->extract(x, got);
+      ts->extract(x, FeaturePlan::all(), got);
       reference::tsfresh(ts == &tsfresh ? TsfreshConfig{} : odd, x, want);
       diffs += count_bit_differences(got, want, ts->feature_names(), s);
       cells += got.size();
@@ -1027,18 +1027,152 @@ TEST(ExtractorBitIdentity, BothExtractorsMatchReferenceComposition) {
   EXPECT_EQ(diffs, 0u) << "of " << cells << " cells";
 }
 
-// Extraction shares no scratch between calls: the corpus extracted on a
-// pool gives the serial run's bits.
+// A quiet NaN with a payload no extractor produces: a plan must leave every
+// slot it does not request holding exactly these bits.
+constexpr std::uint64_t kSentinelBits = 0x7ff80000deadbeefULL;
+
+// The plan that writes each feature of `mask` to slots[feature].
+FeaturePlan plan_of(const FeatureExtractor& ex, const std::vector<bool>& mask,
+                    const std::vector<std::size_t>& slots) {
+  std::vector<std::pair<std::size_t, std::size_t>> cells;
+  for (std::size_t f = 0; f < mask.size(); ++f) {
+    if (mask[f]) cells.emplace_back(f, slots[f]);
+  }
+  return ex.plan(cells);
+}
+
+// Random masks (about `density` of the cells) over a shuffled slot layout,
+// as serving compiles them.
+struct RandomPlan {
+  std::vector<bool> mask;
+  std::vector<std::size_t> slots;
+};
+RandomPlan random_plan(std::size_t features, double density, Rng& rng) {
+  RandomPlan p;
+  p.mask.resize(features);
+  p.slots.resize(features);
+  for (std::size_t f = 0; f < features; ++f) {
+    p.mask[f] = rng.uniform(0.0, 1.0) < density;
+    p.slots[f] = f;
+  }
+  for (std::size_t f = features; f > 1; --f) {
+    std::swap(p.slots[f - 1],
+              p.slots[static_cast<std::size_t>(rng.uniform(0.0, 1.0) *
+                                               static_cast<double>(f)) %
+                      f]);
+  }
+  return p;
+}
+
+TEST(ExtractorBitIdentity, PlanCellsMatchFullExtraction) {
+  const auto corpus = extraction_corpus();
+  ASSERT_GT(corpus.size(), 1000u);
+  const MvtsExtractor mvts;
+  TsfreshConfig odd;  // as in BothExtractorsMatchReferenceComposition
+  odd.acf_lags = 3;
+  odd.pacf_lags = 7;
+  odd.entropy_cap = 16;
+  const TsfreshExtractor tsfresh;
+  const TsfreshExtractor tsfresh_odd(odd);
+
+  // A plan is per extractor, and requests a feature at most once.
+  const std::vector<std::pair<std::size_t, std::size_t>> twice{{3, 0}, {3, 1}};
+  EXPECT_THROW(mvts.plan(twice), Error);
+  const std::vector<std::pair<std::size_t, std::size_t>> beyond{{48, 0}};
+  EXPECT_THROW(mvts.plan(beyond), Error);
+  const std::vector<std::pair<std::size_t, std::size_t>> far_slot{{0, 9}};
+  std::vector<double> small(5);
+  EXPECT_THROW(mvts.extract(corpus[0], mvts.plan(far_slot), small), Error);
+  std::vector<double> wide(tsfresh.num_features());
+  EXPECT_THROW(
+      tsfresh.extract(std::vector<double>(48, 1.0), mvts.plan(far_slot), wide),
+      Error);
+
+  Rng rng(2024);
+  std::size_t cells = 0;
+  std::size_t diffs = 0;
+  std::size_t clobbered = 0;
+  for (std::size_t s = 0; s < corpus.size(); ++s) {
+    const std::vector<double>& x = corpus[s];
+    for (const FeatureExtractor* ex :
+         {static_cast<const FeatureExtractor*>(&mvts),
+          static_cast<const FeatureExtractor*>(&tsfresh),
+          static_cast<const FeatureExtractor*>(&tsfresh_odd)}) {
+      if (ex != &mvts && x.size() < 8) continue;
+      const std::size_t f_count = ex->num_features();
+      std::vector<double> full(f_count);
+      ex->extract(x, FeaturePlan::all(), full);
+
+      std::vector<std::size_t> identity(f_count);
+      for (std::size_t f = 0; f < f_count; ++f) identity[f] = f;
+      std::vector<RandomPlan> plans;
+      plans.push_back({std::vector<bool>(f_count, false), identity});  // empty
+      plans.push_back({std::vector<bool>(f_count, true), identity});   // full
+      for (const std::size_t one : {s % f_count, (7 * s + 3) % f_count}) {
+        plans.push_back({std::vector<bool>(f_count, false), identity});
+        plans.back().mask[one] = true;
+      }
+      for (const double density : {0.05, 0.1, 0.5}) {
+        plans.push_back(random_plan(f_count, density, rng));
+      }
+
+      for (const RandomPlan& p : plans) {
+        std::vector<double> out(f_count, std::bit_cast<double>(kSentinelBits));
+        ex->extract(x, plan_of(*ex, p.mask, p.slots), out);
+        for (std::size_t f = 0; f < f_count; ++f) {
+          const std::uint64_t got = std::bit_cast<std::uint64_t>(out[p.slots[f]]);
+          if (!p.mask[f]) {
+            if (got != kSentinelBits && ++clobbered <= 3) {
+              ADD_FAILURE() << ex->name() << " series " << s
+                            << " wrote unrequested " << ex->feature_names()[f];
+            }
+            continue;
+          }
+          ++cells;
+          if (got != std::bit_cast<std::uint64_t>(full[f]) && ++diffs <= 3) {
+            ADD_FAILURE() << ex->name() << " series " << s << " feature "
+                          << ex->feature_names()[f] << ": "
+                          << strformat("%.17g vs %.17g", out[p.slots[f]],
+                                       full[f]);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(diffs, 0u) << "of " << cells << " requested cells";
+  EXPECT_EQ(clobbered, 0u);
+  EXPECT_GT(cells, 100000u);
+}
+
+// Extraction shares no scratch between calls, and the FFT/Hann tables are
+// shared read-only: the corpus extracted on a pool — full plans and
+// partial ones — gives the serial run's bits.
 TEST(ExtractorBitIdentity, ConcurrentExtractionMatchesSerial) {
   const auto corpus = extraction_corpus();
   const MvtsExtractor mvts;
   const TsfreshExtractor tsfresh;
-  const std::size_t width = mvts.num_features() + tsfresh.num_features();
+  const std::size_t mvts_f = mvts.num_features();
+  const std::size_t ts_f = tsfresh.num_features();
+  Rng rng(31);
+  std::vector<FeaturePlan> mvts_plans;
+  std::vector<FeaturePlan> ts_plans;
+  for (const double density : {0.05, 0.1, 0.3}) {
+    const RandomPlan m = random_plan(mvts_f, density, rng);
+    mvts_plans.push_back(plan_of(mvts, m.mask, m.slots));
+    const RandomPlan t = random_plan(ts_f, density, rng);
+    ts_plans.push_back(plan_of(tsfresh, t.mask, t.slots));
+  }
+  const std::size_t width = 2 * (mvts_f + ts_f);
   auto extract_all = [&](std::vector<double>& out, std::size_t s) {
     const std::span<double> row(out.data() + s * width, width);
-    mvts.extract(corpus[s], row.first(mvts.num_features()));
+    const FeaturePlan& mvts_plan = mvts_plans[s % mvts_plans.size()];
+    const FeaturePlan& ts_plan = ts_plans[s % ts_plans.size()];
+    mvts.extract(corpus[s], FeaturePlan::all(), row.first(mvts_f));
+    mvts.extract(corpus[s], mvts_plan, row.subspan(mvts_f, mvts_f));
     if (corpus[s].size() >= 8) {
-      tsfresh.extract(corpus[s], row.subspan(mvts.num_features()));
+      tsfresh.extract(corpus[s], FeaturePlan::all(),
+                      row.subspan(2 * mvts_f, ts_f));
+      tsfresh.extract(corpus[s], ts_plan, row.subspan(2 * mvts_f + ts_f));
     }
   };
   std::vector<double> serial(corpus.size() * width, 0.0);
@@ -1050,6 +1184,16 @@ TEST(ExtractorBitIdentity, ConcurrentExtractionMatchesSerial) {
   EXPECT_EQ(std::memcmp(serial.data(), parallel.data(),
                         serial.size() * sizeof(double)),
             0);
+
+  // A length's tables are built once, by whichever thread asks first.
+  constexpr std::size_t kFresh = std::size_t{1} << 13;  // unused above
+  std::vector<const stats::Pow2Tables*> seen(8);
+  pool.parallel_for(seen.size(), [&](std::size_t i) {
+    seen[i] = &stats::pow2_tables(kFresh);
+  });
+  for (const stats::Pow2Tables* t : seen) EXPECT_EQ(t, seen[0]);
+  EXPECT_EQ(seen[0]->hann.size(), kFresh);
+  EXPECT_EQ(seen[0]->twiddles[1].size(), kFresh / 2);
 }
 
 // ------------------------------------------------------ feature matrix ---

@@ -32,7 +32,7 @@ std::vector<double> random_series(std::size_t n, std::uint64_t seed) {
 double feature_value(const FeatureExtractor& ex, std::span<const double> x,
                      const std::string& name) {
   std::vector<double> out(ex.num_features());
-  ex.extract(x, out);
+  ex.extract(x, FeaturePlan::all(), out);
   const auto& names = ex.feature_names();
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (names[i] == name) return out[i];

@@ -134,12 +134,13 @@ TEST(Entropy, RegularSeriesHasLowerApEnThanNoise) {
   Rng rng(7);
   std::vector<double> noise(128);
   for (auto& v : noise) v = rng.normal();
-  EXPECT_LT(approximate_entropy(regular), approximate_entropy(noise));
+  EXPECT_LT(template_entropies(regular, stddev(regular), 2, 0.2).approximate,
+            template_entropies(noise, stddev(noise), 2, 0.2).approximate);
 }
 
 TEST(Entropy, ConstantSeriesZeroApEn) {
   const std::vector<double> c(64, 1.0);
-  EXPECT_DOUBLE_EQ(approximate_entropy(c), 0.0);
+  EXPECT_DOUBLE_EQ(template_entropies(c, stddev(c), 2, 0.2).approximate, 0.0);
 }
 
 TEST(Entropy, SampleEntropyOrdersRegularity) {
@@ -150,8 +151,10 @@ TEST(Entropy, SampleEntropyOrdersRegularity) {
   Rng rng(8);
   std::vector<double> noise(128);
   for (auto& v : noise) v = rng.normal();
-  const double se_reg = sample_entropy(regular);
-  const double se_noise = sample_entropy(noise);
+  const double se_reg =
+      template_entropies(regular, stddev(regular), 2, 0.2).sample;
+  const double se_noise =
+      template_entropies(noise, stddev(noise), 2, 0.2).sample;
   ASSERT_FALSE(std::isnan(se_reg));
   ASSERT_FALSE(std::isnan(se_noise));
   EXPECT_LT(se_reg, se_noise);
@@ -159,10 +162,10 @@ TEST(Entropy, SampleEntropyOrdersRegularity) {
 
 TEST(Entropy, BinnedEntropyBounds) {
   const std::vector<double> uniformish{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  const double h = binned_entropy(uniformish, 10);
+  const double h = binned_entropy(uniformish, moments(uniformish), 10);
   EXPECT_NEAR(h, std::log(10.0), 1e-9);  // each bin equally occupied
   const std::vector<double> constant(10, 5.0);
-  EXPECT_DOUBLE_EQ(binned_entropy(constant, 10), 0.0);
+  EXPECT_DOUBLE_EQ(binned_entropy(constant, moments(constant), 10), 0.0);
 }
 
 TEST(Entropy, ShannonOfUniform) {
@@ -236,15 +239,17 @@ TEST(Entropy, DegenerateSeriesFollowEachEntropysConvention) {
   EXPECT_EQ(flat.approximate, 0.0);
   EXPECT_TRUE(std::isnan(flat.sample));
   const std::vector<double> short_series{1.0, 2.0, 3.0};
-  EXPECT_EQ(approximate_entropy(short_series), 0.0);
-  EXPECT_TRUE(std::isnan(sample_entropy(short_series)));
+  const TemplateEntropies short_entropies =
+      template_entropies(short_series, stddev(short_series), 2, 0.2);
+  EXPECT_EQ(short_entropies.approximate, 0.0);
+  EXPECT_TRUE(std::isnan(short_entropies.sample));
 }
 
 // ------------------------------------------------------------- autocorr ---
 
 TEST(Autocorr, LagZeroIsOne) {
   const std::vector<double> x{1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(autocorrelation(x, 0), 1.0);
+  EXPECT_DOUBLE_EQ(autocorrelation(x, moments(x), 0), 1.0);
 }
 
 TEST(Autocorr, PeriodicSignalPeaksAtPeriod) {
@@ -252,18 +257,19 @@ TEST(Autocorr, PeriodicSignalPeaksAtPeriod) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = std::sin(2.0 * M_PI * static_cast<double>(i) / 20.0);
   }
-  EXPECT_GT(autocorrelation(x, 20), 0.8);
-  EXPECT_LT(autocorrelation(x, 10), -0.8);  // half period anti-correlated
+  const Moments mo = moments(x);
+  EXPECT_GT(autocorrelation(x, mo, 20), 0.8);
+  EXPECT_LT(autocorrelation(x, mo, 10), -0.8);  // half period anti-correlated
 }
 
 TEST(Autocorr, ConstantSeriesIsNaN) {
   const std::vector<double> c(20, 2.0);
-  EXPECT_TRUE(std::isnan(autocorrelation(c, 1)));
+  EXPECT_TRUE(std::isnan(autocorrelation(c, moments(c), 1)));
 }
 
 TEST(Autocorr, AcfVectorLength) {
   const std::vector<double> x{1, 2, 1, 2, 1, 2, 1, 2};
-  const auto r = acf(x, 3);
+  const auto r = acf(x, moments(x), 3);
   ASSERT_EQ(r.size(), 4u);
   EXPECT_LT(r[1], 0.0);  // alternating series
   EXPECT_GT(r[2], 0.0);
@@ -278,14 +284,16 @@ TEST(Autocorr, Pacf) {
   for (std::size_t i = 1; i < x.size(); ++i) {
     x[i] = phi * x[i - 1] + rng.normal();
   }
-  EXPECT_NEAR(partial_autocorrelation(x, 1), phi, 0.05);
-  EXPECT_NEAR(partial_autocorrelation(x, 3), 0.0, 0.08);
+  std::vector<double> pacf(3);
+  partial_autocorrelations(acf(x, moments(x), 3), pacf);
+  EXPECT_NEAR(pacf[0], phi, 0.05);
+  EXPECT_NEAR(pacf[2], 0.0, 0.08);
 }
 
 // PACF at `lag` by its own Durbin–Levinson recursion over acf(x, lag).
 double per_lag_pacf(std::span<const double> x, std::size_t lag) {
   if (x.size() < lag + 1) return std::numeric_limits<double>::quiet_NaN();
-  const std::vector<double> rho = acf(x, lag);
+  const std::vector<double> rho = acf(x, moments(x), lag);
   for (double r : rho) {
     if (std::isnan(r)) return std::numeric_limits<double>::quiet_NaN();
   }
@@ -320,13 +328,16 @@ TEST(Autocorr, PacfFromOneAcfVectorMatchesPerLagRecursion) {
   constexpr std::size_t kLags = 8;
   for (const auto& x : series) {
     std::vector<double> fused(kLags);
-    partial_autocorrelations(acf(x, kLags), fused);
+    partial_autocorrelations(acf(x, moments(x), kLags), fused);
     for (std::size_t lag = 1; lag <= kLags; ++lag) {
       const double want = per_lag_pacf(x, lag);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(fused[lag - 1]),
                 std::bit_cast<std::uint64_t>(want))
           << "n=" << x.size() << " lag=" << lag;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(partial_autocorrelation(x, lag)),
+      // A recursion stopped at `lag` gives the same bits.
+      std::vector<double> short_run(lag);
+      partial_autocorrelations(acf(x, moments(x), lag), short_run);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(short_run.back()),
                 std::bit_cast<std::uint64_t>(want));
     }
   }
@@ -335,7 +346,7 @@ TEST(Autocorr, PacfFromOneAcfVectorMatchesPerLagRecursion) {
 TEST(Autocorr, AggAutocorrelation) {
   std::vector<double> x(100);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(i % 2);
-  const double agg = agg_autocorrelation_mean_abs(x, 5);
+  const double agg = agg_autocorrelation_mean_abs(acf(x, moments(x), 5));
   EXPECT_GT(agg, 0.8);  // alternating → |acf| near 1 at all small lags
 }
 
@@ -344,7 +355,7 @@ TEST(Autocorr, AggAutocorrelation) {
 TEST(Regression, ExactLine) {
   std::vector<double> y;
   for (int i = 0; i < 10; ++i) y.push_back(2.0 * i + 3.0);
-  const LinearTrend t = linear_trend(y);
+  const LinearTrend t = linear_trend(y, mean(y));
   EXPECT_NEAR(t.slope, 2.0, 1e-12);
   EXPECT_NEAR(t.intercept, 3.0, 1e-12);
   EXPECT_NEAR(t.rvalue, 1.0, 1e-12);
@@ -353,7 +364,7 @@ TEST(Regression, ExactLine) {
 
 TEST(Regression, FlatLine) {
   const std::vector<double> y(10, 4.0);
-  const LinearTrend t = linear_trend(y);
+  const LinearTrend t = linear_trend(y, mean(y));
   EXPECT_NEAR(t.slope, 0.0, 1e-12);
   EXPECT_NEAR(t.intercept, 4.0, 1e-12);
   EXPECT_DOUBLE_EQ(t.rvalue, 0.0);
