@@ -213,30 +213,10 @@ DiagnosisResult ServingFleet::diagnose(const DiagnoseRequest& request) {
     order = candidates_locked(preferred);
   }
 
-  out.replica = preferred < hosts_.size() ? preferred : 0;
-  out.status = RequestStatus::RejectedUnhealthy;  // nothing to try
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const std::size_t c = order[i];
-    outstanding_[c]->fetch_add(1, std::memory_order_relaxed);
-    DiagnosisResult r = hosts_[c]->diagnose(request);
-    outstanding_[c]->fetch_sub(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      record_outcome_locked(c, r);
-      if (c != preferred) ++replicas_[c].spill_in;
-    }
-    out = std::move(r);
-    out.replica = c;
-    out.attempts = i + 1;
-    if (out.ok()) break;
-    // A deadline rejection is the caller's budget, not this replica's
-    // fault — no other replica can answer in negative time.
-    if (out.status == RequestStatus::RejectedDeadline) break;
-    if (request.deadline.expired()) break;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
+  // The request's own counters move in the same critical section as its
+  // last replica outcome, so a stats() snapshot never sees a replica's
+  // serve without the fleet's.
+  const auto finish_locked = [&] {
     if (out.ok()) {
       out.spilled = out.replica != preferred;
       ++served_;
@@ -249,7 +229,31 @@ DiagnosisResult ServingFleet::diagnose(const DiagnoseRequest& request) {
     if (out.attempts > 1) {
       failovers_ += static_cast<std::uint64_t>(out.attempts - 1);
     }
+  };
+  out.replica = preferred < hosts_.size() ? preferred : 0;
+  out.status = RequestStatus::RejectedUnhealthy;  // nothing to try
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::size_t c = order[i];
+    outstanding_[c]->fetch_add(1, std::memory_order_relaxed);
+    DiagnosisResult r = hosts_[c]->diagnose(request);
+    outstanding_[c]->fetch_sub(1, std::memory_order_relaxed);
+    r.replica = c;
+    r.attempts = i + 1;
+    // A deadline rejection is the caller's budget, not this replica's
+    // fault — no other replica can answer in negative time.
+    const bool last = r.ok() || r.status == RequestStatus::RejectedDeadline ||
+                      request.deadline.expired() || i + 1 == order.size();
+    std::lock_guard<std::mutex> lock(mutex_);
+    record_outcome_locked(c, r);
+    if (c != preferred) ++replicas_[c].spill_in;
+    out = std::move(r);
+    if (last) {
+      finish_locked();
+      return out;
+    }
   }
+  std::lock_guard<std::mutex> lock(mutex_);
+  finish_locked();
   return out;
 }
 
