@@ -69,9 +69,12 @@ int main() {
   const auto within_budget = [](const Matrix& window) {
     return DiagnoseRequest{&window, Deadline::after_ms(250.0)};
   };
-  ServiceHost host(std::make_shared<DiagnosisService>(
-                       load_model_bundle_file(bundle_path), serving),
-                   host_config);
+  // The example keeps its own handle on the first generation for label
+  // names and serving stats; the fixed push below reloads the same export,
+  // so its label names stay valid after the swap.
+  const auto service = std::make_shared<DiagnosisService>(
+      load_model_bundle_file(bundle_path), serving);
+  ServiceHost host(service, host_config);
 
   // The production collector is imperfect: metric dropouts, stuck sensors,
   // and NaN bursts degrade the incoming windows (truncation off so every
@@ -115,7 +118,7 @@ int main() {
       const Diagnosis& d = r.diagnosis;
       const char* marker = d.label != 0 ? "  <-- ALERT" : "";
       std::printf("    node %zu: %-10s confidence %.2f%s\n", node,
-                  std::string(host.service()->label_name(d.label)).c_str(),
+                  std::string(service->label_name(d.label)).c_str(),
                   d.confidence, marker);
       if (probe_windows.size() < 4) {
         probe_windows.push_back(samples[node].series);
@@ -138,7 +141,7 @@ int main() {
   std::printf("\n(ground truth: run 901 memleak@node0, 903 membw@node0, "
               "904 dial@node0; the rest healthy)\n");
   std::printf("[serving] %s\n",
-              format_serving_summary(host.service()->stats()).c_str());
+              format_serving_summary(service->stats()).c_str());
 
   // ---- operations interlude: a model push gone wrong --------------------
   // Every reload is validated against held-back probe windows before the
@@ -158,7 +161,7 @@ int main() {
   std::printf("[reload] generation %llu now serving (recheck: %s)\n",
               static_cast<unsigned long long>(host.generation()),
               after.ok()
-                  ? std::string(host.service()->label_name(after.diagnosis.label))
+                  ? std::string(service->label_name(after.diagnosis.label))
                         .c_str()
                   : std::string(to_string(after.status)).c_str());
 

@@ -19,12 +19,7 @@
 # object-traversal reference on every argmax, stay within 1e-9 on
 # probabilities, and clear the 3x speedup gate at the 2000x2000 pool
 # scale; timings plus the small/block batch-size sweep land in
-# BENCH_ml_predict.json), an
-# fleet smoke run (on a healthy fleet under one client, the rotation
-# prefers every replica within 1 of requests/R and every request ends
-# Ok, typed-shed or failed; results land in BENCH_fleet.json), a
-# fleet chaos smoke (kill-under-load conservation, poisoned-canary
-# containment, guard-window rollback, promote, typed drain), a wire
+# BENCH_ml_predict.json), a wire
 # smoke (stream a feed over the framed socket transport, assert row
 # conservation, bit-identical windows vs the in-process replay, and
 # diagnosis parity through a trained bundle; results land in
@@ -37,9 +32,9 @@
 # exactly where silent out-of-bounds reads would hide), then a
 # ThreadSanitizer build of the concurrency-sensitive tests (thread pool,
 # tree training incl. the shared BinnedMatrix, active-learning loop, the
-# feature extractors on a pool, the diagnosis service, its
-# overload-safe host, and the replicated fleet) to catch races in the
-# parallel training/extraction/scoring/serving paths.
+# feature extractors on a pool, the diagnosis service, and its
+# overload-safe host) to catch races in the parallel
+# training/extraction/scoring/serving paths.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -75,15 +70,6 @@ echo "== ml smoke: hist/exact train parity + compiled predict gates =="
 (cd build/bench && ./bench_micro_ml --smoke)
 
 echo
-echo "== fleet smoke: even rotation + request conservation =="
-(cd build/bench && ./bench_fleet --smoke)
-
-echo
-echo "== fleet chaos smoke: kill/canary/rollback containment gates =="
-(cd build/bench && ./bench_fleet --chaos-smoke)
-
-
-echo
 echo "== wire smoke: conservation + window/diagnosis parity over the socket =="
 (cd build/bench && ./bench_wire --smoke)
 
@@ -103,11 +89,11 @@ cmake --build build-asan -j"$(nproc)" --target \
   test_preprocess test_ml_metrics test_binning test_ml_trees \
   test_compiled_tree test_ml_linear test_ml_tools test_active \
   test_active_ext test_core test_properties test_faults test_serving \
-  test_service_host test_fleet test_streaming test_wire > /dev/null
+  test_service_host test_streaming test_wire > /dev/null
 (cd build-asan && ctest --output-on-failure -j"$(nproc)")
 
 echo
-echo "== tsan: thread pool + tree training + active learning + extraction + serving + fleet + streaming =="
+echo "== tsan: thread pool + tree training + active learning + extraction + serving + streaming =="
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
@@ -115,10 +101,10 @@ cmake -B build-tsan -S . \
 cmake --build build-tsan -j"$(nproc)" \
   --target test_thread_pool test_binning test_ml_trees test_compiled_tree \
   test_ml_tools test_active test_active_ext test_features test_serving \
-  test_service_host test_fleet test_streaming test_wire > /dev/null
+  test_service_host test_streaming test_wire > /dev/null
 for t in test_thread_pool test_binning test_ml_trees test_compiled_tree \
          test_ml_tools test_active test_active_ext test_features \
-         test_serving test_service_host test_fleet test_streaming test_wire; do
+         test_serving test_service_host test_streaming test_wire; do
   echo "-- $t (tsan)"
   ./build-tsan/tests/"$t"
 done

@@ -26,9 +26,8 @@
 //                DiagnosisResult out, free diagnose_with_retry over any
 //                tier); DiagnosisService, ServingConfig, Diagnosis,
 //                ServingStats; ServiceHost (admission control, deadlines,
-//                health, drain, hot reload with rollback), ServingFleet
-//                (rotating routing, failover, canary rollout),
-//                ServingChaos / FleetChaos (fault injection)
+//                health, drain, hot reload with rollback), ServingChaos
+//                (fault injection)
 //   utilities    logging, CLI flags, text tables, string helpers,
 //                ThreadPool, Deadline, backoff/retry
 //
@@ -58,7 +57,6 @@
 #include "serving/chaos.hpp"
 #include "serving/diagnoser.hpp"
 #include "serving/diagnosis_service.hpp"
-#include "serving/fleet.hpp"
 #include "serving/hot_reload.hpp"
 #include "serving/model_bundle.hpp"
 #include "serving/service_host.hpp"

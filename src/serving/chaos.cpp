@@ -1,11 +1,9 @@
 #include "serving/chaos.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <sstream>
 #include <thread>
-#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -53,81 +51,6 @@ std::uint64_t ServingChaos::slowdowns_injected() const noexcept {
 }
 std::uint64_t ServingChaos::failures_injected() const noexcept {
   return failures_.load();
-}
-
-FleetChaos::FleetChaos(FleetChaosConfig config, std::size_t replica_count)
-    : config_(std::move(config)) {
-  ALBA_CHECK(replica_count > 0) << "FleetChaos needs at least one replica";
-  for (const std::size_t t : config_.targets) {
-    ALBA_CHECK(t < replica_count)
-        << "chaos target " << t << " out of range (fleet has "
-        << replica_count << " replicas)";
-  }
-  injectors_.resize(replica_count);
-  for (std::size_t r = 0; r < replica_count; ++r) {
-    const bool targeted =
-        config_.targets.empty() ||
-        std::find(config_.targets.begin(), config_.targets.end(), r) !=
-            config_.targets.end();
-    if (!targeted) continue;
-    ChaosConfig per = config_.base;
-    // Replica r's schedule depends only on (seed, r): stable across fleet
-    // sizes and across which other replicas are targeted.
-    per.seed = Rng(config_.seed).split(r + 1).next();
-    injectors_[r] = std::make_unique<ServingChaos>(per);
-  }
-}
-
-bool FleetChaos::targets_replica(std::size_t replica) const {
-  return replica < injectors_.size() && injectors_[replica] != nullptr;
-}
-
-std::function<void(const Matrix&)> FleetChaos::hook_for(std::size_t replica) {
-  ALBA_CHECK(replica < injectors_.size())
-      << "replica " << replica << " out of range";
-  if (!injectors_[replica]) return {};
-  const auto inner = injectors_[replica]->hook();
-  return [this, inner](const Matrix& window) {
-    if (enabled_.load(std::memory_order_relaxed)) inner(window);
-  };
-}
-
-void FleetChaos::set_enabled(bool enabled) noexcept {
-  enabled_.store(enabled, std::memory_order_relaxed);
-}
-
-bool FleetChaos::enabled() const noexcept {
-  return enabled_.load(std::memory_order_relaxed);
-}
-
-const ServingChaos* FleetChaos::injector(std::size_t replica) const {
-  ALBA_CHECK(replica < injectors_.size())
-      << "replica " << replica << " out of range";
-  return injectors_[replica].get();
-}
-
-std::uint64_t FleetChaos::extractions_seen() const noexcept {
-  std::uint64_t sum = 0;
-  for (const auto& inj : injectors_) {
-    if (inj) sum += inj->extractions_seen();
-  }
-  return sum;
-}
-
-std::uint64_t FleetChaos::slowdowns_injected() const noexcept {
-  std::uint64_t sum = 0;
-  for (const auto& inj : injectors_) {
-    if (inj) sum += inj->slowdowns_injected();
-  }
-  return sum;
-}
-
-std::uint64_t FleetChaos::failures_injected() const noexcept {
-  std::uint64_t sum = 0;
-  for (const auto& inj : injectors_) {
-    if (inj) sum += inj->failures_injected();
-  }
-  return sum;
 }
 
 void write_poisoned_bundle(const std::string& src_path,

@@ -16,12 +16,9 @@
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "linalg/matrix.hpp"
 
@@ -74,63 +71,6 @@ class ServingChaos {
   std::atomic<std::uint64_t> events_{0};
   std::atomic<std::uint64_t> slowdowns_{0};
   std::atomic<std::uint64_t> failures_{0};
-};
-
-/// Fleet-scale chaos: degrade a *subset* of replicas while the rest stay
-/// healthy — the scenario ServingFleet's ejection/failover machinery
-/// exists for. Each targeted replica gets its own ServingChaos whose seed
-/// derives from (seed, replica id), so replica r's fault schedule is the
-/// same regardless of fleet size, traffic interleaving, or which other
-/// replicas are targeted.
-struct FleetChaosConfig {
-  // Rates/delay applied to every targeted replica. base.seed is ignored;
-  // per-replica seeds derive from FleetChaosConfig::seed instead.
-  ChaosConfig base;
-  // Replica ids to degrade; empty targets every replica.
-  std::vector<std::size_t> targets;
-  std::uint64_t seed = 0;
-};
-
-/// Owns one seeded ServingChaos per targeted replica and hands out
-/// per-replica extraction hooks (empty for untargeted replicas, so the
-/// service skips the hook call entirely). Injection can be toggled at
-/// runtime with set_enabled — hooks survive hot reloads (the reloaded
-/// service inherits the extraction hook), so a test can run a clean
-/// baseline, push a canary, then switch faults on for the canary only.
-class FleetChaos {
- public:
-  /// Validates rates via ServingChaos and every target against
-  /// `replica_count`; throws alba::Error otherwise.
-  FleetChaos(FleetChaosConfig config, std::size_t replica_count);
-
-  const FleetChaosConfig& config() const noexcept { return config_; }
-
-  /// True if `replica` has an injector attached.
-  bool targets_replica(std::size_t replica) const;
-
-  /// Extraction hook for one replica's ServingConfig::extraction_hook;
-  /// empty (falsy) std::function for untargeted replicas. The callable
-  /// references this FleetChaos, which must outlive every service.
-  std::function<void(const Matrix&)> hook_for(std::size_t replica);
-
-  /// Master switch (default on). While disabled, hooks are no-ops and
-  /// consume no event indices, so re-enabling resumes the schedule.
-  void set_enabled(bool enabled) noexcept;
-  bool enabled() const noexcept;
-
-  /// Per-replica injector for precise assertions; nullptr if untargeted.
-  const ServingChaos* injector(std::size_t replica) const;
-
-  /// Fleet-wide sums across all targeted replicas.
-  std::uint64_t extractions_seen() const noexcept;
-  std::uint64_t slowdowns_injected() const noexcept;
-  std::uint64_t failures_injected() const noexcept;
-
- private:
-  FleetChaosConfig config_;
-  std::atomic<bool> enabled_{true};
-  // Indexed by replica id; null for untargeted replicas.
-  std::vector<std::unique_ptr<ServingChaos>> injectors_;
 };
 
 /// Ways a bundle push can arrive broken at the serving host.

@@ -1,13 +1,14 @@
 // The unified serving interface: one request/response contract implemented
-// by every serving tier. A front end that feeds windows into serving (the
+// by both serving tiers. A front end that feeds windows into serving (the
 // streaming trigger in src/streaming, a replay tool, a test harness) is
 // written once against it:
 //
 //   DiagnoseRequest  — a borrowed window view plus a deadline;
 //   DiagnosisResult  — a typed RequestStatus, the Diagnosis when Ok, and
-//                      the provenance/timing fields every tier can fill
-//                      (generation, replica, attempts, spilled, timings);
-//   Diagnoser        — the abstract interface all three tiers implement.
+//                      the provenance/timing fields both tiers fill
+//                      (generation, attempts, timings);
+//   Diagnoser        — the abstract interface DiagnosisService and
+//                      ServiceHost implement.
 //
 // Contract, uniform across tiers:
 //   * diagnose never throws on overload, deadline, drain, health, or
@@ -16,9 +17,9 @@
 //   * status == Ok implies the result met its deadline and `diagnosis` is
 //     meaningful; any other status leaves `diagnosis` default;
 //   * a tier without a concept fills the neutral value (a bare
-//     DiagnosisService reports generation 1, replica 0, attempts 1).
+//     DiagnosisService reports generation 1, attempts 1).
 //
-// ServiceHost and ServingFleet have no other diagnose entry point.
+// ServiceHost has no other diagnose entry point.
 // DiagnosisService keeps its library call `Diagnosis diagnose(const
 // Matrix&)`, which throws instead of answering with a status. The free
 // diagnose_with_retry works against any tier.
@@ -79,18 +80,15 @@ struct DiagnoseRequest {
 
 /// One request's uniform outcome. `diagnosis` is meaningful only when
 /// `status == Ok`; `generation` names the bundle that served it (0 = never
-/// served); `replica`/`attempts`/`spilled` are fleet provenance (replica 0,
-/// attempts 1, spilled false from single-instance tiers; a fleet that
-/// sheds before trying any replica reports attempts 0); timings cover
+/// served); `attempts` counts the diagnose calls behind the answer (1 from
+/// a tier's own diagnose, more from diagnose_with_retry); timings cover
 /// queue wait and service time where the tier tracks them.
 struct DiagnosisResult {
   RequestStatus status = RequestStatus::Failed;
   Diagnosis diagnosis;
   std::string error;        // what() of the pipeline failure, for Failed
   std::uint64_t generation = 0;
-  std::size_t replica = 0;
   std::size_t attempts = 1;
-  bool spilled = false;
   double queue_ms = 0.0;    // admission -> dequeue (0 where untracked)
   double service_ms = 0.0;  // dequeue -> completion
   double total_ms = 0.0;    // admission -> completion (or rejection)
@@ -99,8 +97,8 @@ struct DiagnosisResult {
 };
 
 /// The tier-agnostic serving interface. Implementations: DiagnosisService
-/// (bare pipeline), ServiceHost (overload-safe host), ServingFleet
-/// (replicated fleet). See the contract at the top of this header.
+/// (bare pipeline) and ServiceHost (overload-safe host). See the contract
+/// at the top of this header.
 class Diagnoser {
  public:
   virtual ~Diagnoser() = default;

@@ -88,9 +88,9 @@ class DiagnosisService : public Diagnoser {
   /// Diagnoser interface: the non-throwing, deadline-aware entry point.
   /// Pipeline exceptions become status Failed; a request whose deadline is
   /// already expired (or that finishes past it) comes back RejectedDeadline
-  /// with no diagnosis — the Ok-met-its-deadline contract of the hosted
-  /// tiers, honored here too. Reports generation 1 (a bare service never
-  /// reloads), replica 0, attempts 1.
+  /// with no diagnosis — the Ok-met-its-deadline contract of the host,
+  /// honored here too. Reports generation 1 (a bare service never
+  /// reloads), attempts 1.
   DiagnosisResult diagnose(const DiagnoseRequest& request) override;
 
   /// Diagnoses a stream of windows as micro-batches of at most

@@ -294,11 +294,6 @@ std::uint64_t ServiceHost::generation() const {
   return generation_;
 }
 
-std::shared_ptr<const DiagnosisService> ServiceHost::service() const {
-  std::lock_guard<std::mutex> lock(service_mutex_);
-  return service_;
-}
-
 HostStats ServiceHost::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   HostStats s = totals_;

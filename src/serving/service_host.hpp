@@ -121,10 +121,11 @@ class ServiceHost : public Diagnoser {
   ServiceHost(const ServiceHost&) = delete;
   ServiceHost& operator=(const ServiceHost&) = delete;
 
-  /// Admits, waits, and returns the typed outcome (replica 0, attempts
-  /// 1). Never throws on overload, deadline, drain, health, or pipeline
-  /// failure — those are all statuses. The window must stay alive for the
-  /// duration of the call (it does: the call blocks).
+  /// Admits, waits, and returns the typed outcome (attempts 1; retrying a
+  /// transient Failed or queue-full answer is the caller's choice, see
+  /// diagnose_with_retry). Never throws on overload, deadline, drain,
+  /// health, or pipeline failure — those are all statuses. The window must
+  /// stay alive for the duration of the call (it does: the call blocks).
   DiagnosisResult diagnose(const DiagnoseRequest& request) override;
 
   /// Validates `bundle` against the probe set and atomically swaps it in;
@@ -147,10 +148,6 @@ class ServiceHost : public Diagnoser {
   /// Current bundle generation: 1 for the constructor's service, +1 per
   /// successful reload.
   std::uint64_t generation() const;
-
-  /// The currently serving service (for stats or direct inspection); the
-  /// pointer stays valid across reloads, serving its own generation.
-  std::shared_ptr<const DiagnosisService> service() const;
 
   HostStats stats() const;
 

@@ -23,21 +23,6 @@ double latency_percentile(std::span<const double> latencies_ms, double q) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-double error_rate(std::span<const Outcome> outcomes) noexcept {
-  if (outcomes.empty()) return 0.0;
-  std::size_t failed = 0;
-  for (const Outcome& o : outcomes) failed += o.failed ? 1 : 0;
-  return static_cast<double>(failed) / static_cast<double>(outcomes.size());
-}
-
-double outcome_percentile(std::span<const Outcome> outcomes,
-                          double Outcome::*field, double q) {
-  std::vector<double> samples;
-  samples.reserve(outcomes.size());
-  for (const Outcome& o : outcomes) samples.push_back(o.*field);
-  return latency_percentile(samples, q);
-}
-
 OutcomeWindow::OutcomeWindow(std::size_t capacity) : capacity_(capacity) {
   ALBA_CHECK(capacity_ > 0) << "an outcome window needs a positive capacity";
 }
@@ -54,6 +39,20 @@ void OutcomeWindow::push(const Outcome& outcome) {
 void OutcomeWindow::clear() noexcept {
   samples_.clear();
   next_ = 0;
+}
+
+double OutcomeWindow::error_rate() const noexcept {
+  if (samples_.empty()) return 0.0;
+  std::size_t failed = 0;
+  for (const Outcome& o : samples_) failed += o.failed ? 1 : 0;
+  return static_cast<double>(failed) / static_cast<double>(samples_.size());
+}
+
+double OutcomeWindow::percentile(double Outcome::*field, double q) const {
+  std::vector<double> values;
+  values.reserve(samples_.size());
+  for (const Outcome& o : samples_) values.push_back(o.*field);
+  return latency_percentile(values, q);
 }
 
 std::string format_serving_summary(const ServingStats& s) {
@@ -94,55 +93,6 @@ void write_serving_stats_csv(
   for (const auto& [label, stats] : rows) {
     os << serving_stats_csv_row(label, stats) << "\n";
   }
-}
-
-ServingStats merge_serving_stats(std::span<const ServingStats> parts) {
-  ServingStats merged;
-  double weighted_p50 = 0.0;
-  double weighted_p99 = 0.0;
-  double weighted_p999 = 0.0;
-  std::uint64_t weight = 0;
-  bool any_min = false;
-  for (const ServingStats& s : parts) {
-    merged.requests += s.requests;
-    merged.windows += s.windows;
-    merged.batches += s.batches;
-    merged.extract_seconds += s.extract_seconds;
-    merged.predict_seconds += s.predict_seconds;
-    merged.total_seconds += s.total_seconds;
-    merged.wall_seconds = std::max(merged.wall_seconds, s.wall_seconds);
-    weighted_p50 += static_cast<double>(s.requests) * s.latency_p50_ms;
-    weighted_p99 += static_cast<double>(s.requests) * s.latency_p99_ms;
-    weighted_p999 += static_cast<double>(s.requests) * s.latency_p999_ms;
-    weight += s.requests;
-    // The fleet minimum composes exactly (unlike the percentiles): it is
-    // the smallest per-replica minimum over replicas that served anything.
-    if (s.requests > 0) {
-      merged.latency_min_ms = any_min
-          ? std::min(merged.latency_min_ms, s.latency_min_ms)
-          : s.latency_min_ms;
-      any_min = true;
-    }
-  }
-  if (weight > 0) {
-    merged.latency_p50_ms = weighted_p50 / static_cast<double>(weight);
-    merged.latency_p99_ms = weighted_p99 / static_cast<double>(weight);
-    merged.latency_p999_ms = weighted_p999 / static_cast<double>(weight);
-  }
-  return merged;
-}
-
-void write_fleet_serving_csv(
-    std::ostream& os,
-    std::span<const std::pair<std::string, ServingStats>> replicas) {
-  os << serving_stats_csv_header() << "\n";
-  std::vector<ServingStats> parts;
-  parts.reserve(replicas.size());
-  for (const auto& [label, stats] : replicas) {
-    os << serving_stats_csv_row(label, stats) << "\n";
-    parts.push_back(stats);
-  }
-  os << serving_stats_csv_row("fleet", merge_serving_stats(parts)) << "\n";
 }
 
 }  // namespace alba

@@ -56,25 +56,17 @@ struct ServingStats {
 /// Returns 0 for an empty span.
 double latency_percentile(std::span<const double> latencies_ms, double q);
 
-/// One pipeline pass as the serving layer's health, latency and rollout
-/// windows see it. Deliberate shedding never becomes an Outcome.
+/// One pipeline pass as the host's health window and the service's latency
+/// window see it. Deliberate shedding never becomes an Outcome.
 struct Outcome {
   bool failed = false;
   double queue_ms = 0.0;  // admission -> dequeue (0 where untracked)
   double total_ms = 0.0;  // admission -> completion
 };
 
-/// Fraction of `outcomes` that failed; 0 for an empty set.
-double error_rate(std::span<const Outcome> outcomes) noexcept;
-
-/// latency_percentile over one field (&Outcome::total_ms or
-/// &Outcome::queue_ms) of `outcomes`; 0 for an empty set.
-double outcome_percentile(std::span<const Outcome> outcomes,
-                          double Outcome::*field, double q);
-
 /// The most recent `capacity` outcomes; once full, each push overwrites
 /// the oldest. Samples are kept in ring order, not arrival order — every
-/// summary above is order-free. Not thread-safe: owners lock around it.
+/// summary below is order-free. Not thread-safe: owners lock around it.
 class OutcomeWindow {
  public:
   explicit OutcomeWindow(std::size_t capacity);
@@ -84,10 +76,11 @@ class OutcomeWindow {
 
   std::size_t size() const noexcept { return samples_.size(); }
   std::span<const Outcome> samples() const noexcept { return samples_; }
-  double error_rate() const noexcept { return alba::error_rate(samples_); }
-  double percentile(double Outcome::*field, double q) const {
-    return outcome_percentile(samples_, field, q);
-  }
+  /// Fraction of retained outcomes that failed; 0 when empty.
+  double error_rate() const noexcept;
+  /// latency_percentile over one field (&Outcome::total_ms or
+  /// &Outcome::queue_ms) of the retained outcomes; 0 when empty.
+  double percentile(double Outcome::*field, double q) const;
 
  private:
   std::size_t capacity_;
@@ -112,22 +105,5 @@ std::string serving_stats_csv_row(std::string_view label,
 void write_serving_stats_csv(
     std::ostream& os,
     std::span<const std::pair<std::string, ServingStats>> rows);
-
-/// Fleet-level roll-up of per-replica snapshots: counters and phase times
-/// sum exactly; wall_seconds is the max (replicas serve concurrently, so
-/// their spans overlap rather than concatenate); latency percentiles are
-/// request-count-weighted means of the per-replica percentiles — replicas
-/// with zero requests contribute nothing. The weighting is a reporting
-/// approximation (percentiles do not compose); exact fleet percentiles
-/// come from ServingFleet's merged latency sample windows (fleet.hpp).
-ServingStats merge_serving_stats(std::span<const ServingStats> parts);
-
-/// write_serving_stats_csv with one per-replica row per entry plus a
-/// trailing fleet-aggregate row (label "fleet") from merge_serving_stats.
-/// Same RFC-4180 escaping rules, so per-replica labels with commas or
-/// quotes parse back intact.
-void write_fleet_serving_csv(
-    std::ostream& os,
-    std::span<const std::pair<std::string, ServingStats>> replicas);
 
 }  // namespace alba

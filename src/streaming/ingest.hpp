@@ -100,7 +100,7 @@ std::string format_ingest_summary(const IngestStats& s);
 
 /// CSV column names matching ingest_stats_csv_row field order; the leading
 /// `label` column tags the source (e.g. "node=3" or "total") so one file
-/// can hold a whole fleet. RFC-4180 escaping via csv_escape, so labels with
+/// can hold a whole cluster. RFC-4180 escaping via csv_escape, so labels with
 /// commas or quotes parse back intact.
 std::string ingest_stats_csv_header();
 std::string ingest_stats_csv_row(std::string_view label,

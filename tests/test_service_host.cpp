@@ -715,5 +715,57 @@ TEST(ServingChaos, HostedServiceSurvivesChaosWithTypedOutcomesOnly) {
   host.drain();  // a chaos-soaked host must still drain cleanly
 }
 
+// Failover without a second replica: the same seeded fault schedule, but
+// every window goes through diagnose_with_retry. Each injected failure
+// costs one extra attempt on the same host, and every request still ends
+// Ok with the bare service's exact answer.
+TEST(ServingChaos, RetryOnOneHostRecoversEveryChaosFailure) {
+  const HostEnv& e = env();
+  ChaosConfig chaos_config;
+  chaos_config.extract_fail_rate = 0.3;
+  chaos_config.slow_extract_rate = 0.2;
+  chaos_config.slow_extract_ms = 2.0;
+  chaos_config.seed = 21;
+  ServingChaos chaos(chaos_config);
+  ServingConfig serving;
+  serving.extraction_hook = chaos.hook();
+  HostConfig config;
+  config.workers = 2;
+  config.queue_capacity = 4;
+  config.unhealthy_error_rate = 1.0;  // strict >: never trips, pure soak
+  ServiceHost host(make_service(e.bundle_a, serving), config);
+  auto reference_service = make_service(e.bundle_a);
+
+  // One client, so extraction events run in request order and the seeded
+  // schedule fixes every request's attempt count. Seed 21 fails 21
+  // extractions over these 40 requests, at most three in a row, so eight
+  // attempts leave room to spare.
+  BackoffConfig backoff;
+  backoff.max_attempts = 8;
+  backoff.initial_delay_ms = 0.1;
+  backoff.max_delay_ms = 1.0;
+  backoff.seed = 5;
+  std::uint64_t retries = 0;
+  for (int i = 0; i < 40; ++i) {
+    const Matrix& w = e.windows[i % e.windows.size()];
+    const DiagnosisResult r = diagnose_with_retry(host, {&w}, backoff);
+    ASSERT_TRUE(r.ok()) << "request " << i << ": " << to_string(r.status)
+                        << " after " << r.attempts << " attempts: "
+                        << r.error;
+    const Diagnosis expected = reference_service->diagnose(w);
+    EXPECT_EQ(r.diagnosis.label, expected.label);
+    EXPECT_EQ(r.diagnosis.probs, expected.probs);
+    retries += r.attempts - 1;
+  }
+  const HostStats s = host.stats();
+  EXPECT_GT(s.failed, 0u);
+  EXPECT_EQ(s.failed, chaos.failures_injected());
+  EXPECT_EQ(retries, s.failed);
+  EXPECT_EQ(s.completed, 40u);
+  EXPECT_EQ(s.rejected(), 0u);
+  EXPECT_EQ(s.submitted, 40u + s.failed);
+  host.drain();
+}
+
 }  // namespace
 }  // namespace alba

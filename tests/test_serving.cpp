@@ -503,8 +503,8 @@ TEST(ServingStats, PercentilesOnZeroAndOneSample) {
   EXPECT_DOUBLE_EQ(latency_percentile(two, 1.5), 3.0);
 }
 
-// The one outcome window behind the host breaker, the fleet's per-replica
-// ejection window and (unbounded) the rollout guard.
+// The one outcome window behind the host breaker and the service's
+// latency percentiles.
 TEST(ServingStats, OutcomeWindowWrapsAndSummarizesRetainedSamples) {
   OutcomeWindow window(4);
   // An empty window reports 0 for every summary, not NaN.
@@ -530,7 +530,6 @@ TEST(ServingStats, OutcomeWindowWrapsAndSummarizesRetainedSamples) {
   }
   // Only sample 4 of the retained 2..5 failed.
   EXPECT_DOUBLE_EQ(window.error_rate(), 0.25);
-  EXPECT_DOUBLE_EQ(error_rate(window.samples()), 0.25);
   for (const double q : {0.0, 0.5, 0.99, 1.0}) {
     EXPECT_DOUBLE_EQ(window.percentile(&Outcome::total_ms, q),
                      latency_percentile(totals, q));
@@ -538,8 +537,8 @@ TEST(ServingStats, OutcomeWindowWrapsAndSummarizesRetainedSamples) {
                      latency_percentile(queues, q));
   }
 
-  // clear() as on a fleet readmission: nothing of the old window survives,
-  // and the next push is the only sample.
+  // clear() as on DiagnosisService::reset_stats: nothing of the old window
+  // survives, and the next push is the only sample.
   window.clear();
   EXPECT_EQ(window.size(), 0u);
   EXPECT_EQ(window.error_rate(), 0.0);
@@ -756,108 +755,6 @@ TEST(ServingStats, CsvLabelsWithCommasSurviveParseBack) {
   EXPECT_EQ(table.rows[0][table.column_index("latency_p999_ms")], "7.5000");
   EXPECT_EQ(table.rows[0][table.column_index("latency_min_ms")], "0.2500");
   EXPECT_EQ(table.rows[1][table.column_index("label")], "plain");
-}
-
-// ---------------------------------------------------- fleet roll-up ---
-
-TEST(ServingStats, MergeSumsCountersAndWeightsPercentilesByRequests) {
-  ServingStats a;
-  a.requests = 3;
-  a.windows = 6;
-  a.batches = 2;
-  a.extract_seconds = 0.5;
-  a.predict_seconds = 0.25;
-  a.total_seconds = 1.0;
-  a.wall_seconds = 2.0;
-  a.latency_p50_ms = 10.0;
-  a.latency_p99_ms = 20.0;
-  a.latency_p999_ms = 40.0;
-  a.latency_min_ms = 5.0;
-  ServingStats b;
-  b.requests = 1;
-  b.windows = 1;
-  b.batches = 1;
-  b.extract_seconds = 0.1;
-  b.total_seconds = 0.2;
-  b.wall_seconds = 3.0;  // replicas overlap: max, not sum
-  b.latency_p50_ms = 2.0;
-  b.latency_p99_ms = 4.0;
-  b.latency_p999_ms = 8.0;
-  b.latency_min_ms = 1.0;
-  ServingStats idle;  // zero requests: must contribute nothing
-  idle.latency_min_ms = 0.0;  // and must not drag the fleet minimum to 0
-
-  const std::vector<ServingStats> parts{a, b, idle};
-  const ServingStats m = merge_serving_stats(parts);
-  EXPECT_EQ(m.requests, 4u);
-  EXPECT_EQ(m.windows, 7u);
-  EXPECT_EQ(m.batches, 3u);
-  EXPECT_DOUBLE_EQ(m.extract_seconds, 0.6);
-  EXPECT_DOUBLE_EQ(m.predict_seconds, 0.25);
-  EXPECT_DOUBLE_EQ(m.total_seconds, 1.2);
-  EXPECT_DOUBLE_EQ(m.wall_seconds, 3.0);
-  // Request-weighted: (3*10 + 1*2 + 0*anything) / 4.
-  EXPECT_DOUBLE_EQ(m.latency_p50_ms, 8.0);
-  EXPECT_DOUBLE_EQ(m.latency_p99_ms, 16.0);
-  EXPECT_DOUBLE_EQ(m.latency_p999_ms, 32.0);  // (3*40 + 1*8) / 4
-  // Min composes exactly: smallest over replicas that served requests,
-  // so the idle replica's 0 does not leak in.
-  EXPECT_DOUBLE_EQ(m.latency_min_ms, 1.0);
-
-  // All-idle merge: no weight, percentiles stay 0 instead of NaN.
-  const std::vector<ServingStats> idles{idle, idle};
-  const ServingStats z = merge_serving_stats(idles);
-  EXPECT_EQ(z.requests, 0u);
-  EXPECT_DOUBLE_EQ(z.latency_p50_ms, 0.0);
-  EXPECT_DOUBLE_EQ(z.latency_p99_ms, 0.0);
-  EXPECT_DOUBLE_EQ(z.latency_p999_ms, 0.0);
-  EXPECT_DOUBLE_EQ(z.latency_min_ms, 0.0);
-}
-
-// Per-replica rows plus the trailing fleet-aggregate row must survive an
-// RFC-4180 round trip, tricky replica labels included.
-TEST(ServingStats, FleetCsvParseBackIncludesAggregateRow) {
-  ServingStats a;
-  a.requests = 2;
-  a.windows = 2;
-  a.total_seconds = 0.5;
-  a.latency_p50_ms = 4.0;
-  a.latency_p99_ms = 8.0;
-  a.latency_p999_ms = 16.0;
-  a.latency_min_ms = 2.0;
-  ServingStats b;
-  b.requests = 6;
-  b.windows = 6;
-  b.total_seconds = 0.25;
-  b.latency_p50_ms = 1.0;
-  b.latency_p99_ms = 2.0;
-  b.latency_p999_ms = 4.0;
-  b.latency_min_ms = 0.5;
-  std::vector<std::pair<std::string, ServingStats>> replicas;
-  replicas.emplace_back("replica=0,zone=\"a\"", a);  // comma + quote
-  replicas.emplace_back("replica=1", b);
-
-  const ScopedTempDir dir;
-  const std::string path = dir.file("fleet_stats.csv");
-  {
-    std::ofstream out(path);
-    ASSERT_TRUE(out.good());
-    write_fleet_serving_csv(out, replicas);
-  }
-  const CsvTable table = read_csv(path);  // throws on ragged rows
-
-  ASSERT_EQ(table.rows.size(), 3u);  // 2 replicas + the fleet roll-up
-  EXPECT_EQ(table.rows[0][table.column_index("label")],
-            "replica=0,zone=\"a\"");
-  EXPECT_EQ(table.rows[1][table.column_index("label")], "replica=1");
-  EXPECT_EQ(table.rows[2][table.column_index("label")], "fleet");
-  EXPECT_EQ(table.rows[2][table.column_index("requests")], "8");
-  EXPECT_EQ(table.rows[2][table.column_index("windows")], "8");
-  // Weighted p50: (2*4 + 6*1) / 8 = 1.75.
-  EXPECT_EQ(table.rows[2][table.column_index("latency_p50_ms")], "1.7500");
-  // Weighted p99.9: (2*16 + 6*4) / 8 = 7; min: min(2.0, 0.5).
-  EXPECT_EQ(table.rows[2][table.column_index("latency_p999_ms")], "7.0000");
-  EXPECT_EQ(table.rows[2][table.column_index("latency_min_ms")], "0.5000");
 }
 
 // ------------------------------------------------------- atomic save ---

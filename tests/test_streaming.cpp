@@ -4,7 +4,7 @@
 // nothing arrived) across clean / NaN-cell / gapped / out-of-order /
 // fault-injected replays; gap policies, duplicates, resets and the
 // late_dropped ring-immutability regression; and streamed windows flowing
-// through all three serving tiers behind one Diagnoser.
+// through both serving tiers behind one Diagnoser.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -28,8 +28,8 @@
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "ml/grid_search.hpp"
-#include "serving/fleet.hpp"
 #include "serving/model_bundle.hpp"
+#include "serving/service_host.hpp"
 #include "streaming/ingest.hpp"
 #include "telemetry/faults.hpp"
 #include "telemetry/run_generator.hpp"
@@ -672,9 +672,8 @@ TEST(DiagnoserTiers, StreamedWindowDiagnosesIdenticallyAcrossAllTiers) {
   const Diagnosis reference = service->diagnose(sample.series);
 
   ServiceHost host(tier_service(e));
-  ServingFleet fleet({tier_service(e), tier_service(e)});
 
-  const std::vector<Diagnoser*> tiers = {service.get(), &host, &fleet};
+  const std::vector<Diagnoser*> tiers = {service.get(), &host};
   for (Diagnoser* tier : tiers) {
     const DiagnosisResult r = tier->diagnose(DiagnoseRequest{&window.raw});
     ASSERT_TRUE(r.ok()) << to_string(r.status) << ": " << r.error;
@@ -685,7 +684,6 @@ TEST(DiagnoserTiers, StreamedWindowDiagnosesIdenticallyAcrossAllTiers) {
       EXPECT_EQ(r.diagnosis.probs[i], reference.probs[i]);
     }
   }
-  fleet.drain();
   host.drain();
 }
 
@@ -695,9 +693,8 @@ TEST(DiagnoserTiers, ExpiredDeadlineIsATypedRejectionEverywhere) {
 
   auto service = tier_service(e);
   ServiceHost host(tier_service(e));
-  ServingFleet fleet({tier_service(e)});
 
-  const std::vector<Diagnoser*> tiers = {service.get(), &host, &fleet};
+  const std::vector<Diagnoser*> tiers = {service.get(), &host};
   for (Diagnoser* tier : tiers) {
     const DiagnosisResult r = tier->diagnose(
         DiagnoseRequest{&sample.series, Deadline::after_ms(-1.0)});
@@ -705,7 +702,6 @@ TEST(DiagnoserTiers, ExpiredDeadlineIsATypedRejectionEverywhere) {
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(r.diagnosis.probs.empty());
   }
-  fleet.drain();
   host.drain();
 }
 
