@@ -599,9 +599,8 @@ bool run_predict_sweep(bool smoke, const char* json_path) {
     entries.push_back(run_predict_cell("lgbm", gbm, pool.x, gate, ok));
 
     // Batch-size column: forced small-kernel vs forced block-path times at
-    // each micro-batch size, so the dispatch crossover (and the effect of
-    // ALBA_SMALL_BATCH_CUTOFF overrides) can be read off the JSON instead
-    // of re-measured by hand.
+    // each batch size, so the dispatch crossover can be read off the
+    // JSON instead of re-measured by hand.
     for (const std::size_t batch : batches) {
       batch_entries.push_back(run_batch_cell("rf", rf, pool.x, batch));
       batch_entries.push_back(run_batch_cell("lgbm", gbm, pool.x, batch));

@@ -1,12 +1,12 @@
-// Serving-path benchmark: end-to-end from an exported ModelBundle. Trains
-// a small model, freezes it with export_model_bundle, reloads it into a
-// DiagnosisService, and serves a stream of raw telemetry windows, sweeping
-// micro-batch size x thread count and reporting p50/p99 request latency
-// and windows/sec per configuration.
+// Serving-path benchmark. Without a mode flag it runs the single-window
+// latency sweep (batch x model x split algo over the compiled predictor)
+// and writes BENCH_serving_latency.json.
 //
-// --smoke runs the CI gate instead of the sweep: serve 100 windows and
-// assert nonzero throughput plus bit-identical agreement with the offline
-// pipeline (extract_features -> project -> scale -> select -> predict).
+// --smoke runs the CI gate: train a small model, freeze it with
+// export_model_bundle, reload it into a DiagnosisService, serve 100 raw
+// telemetry windows one diagnose call at a time, and assert nonzero
+// throughput plus bit-identical agreement with the offline pipeline
+// (extract_features -> project -> scale -> select -> predict).
 //
 // --chaos-smoke runs the resilience gate: a client burst against a small
 // ServiceHost while the chaos harness injects slow and failing
@@ -16,9 +16,12 @@
 // disagrees bit-for-bit with the clean pipeline, or if a failed reload
 // leaves anything but the old bundle serving.
 //
-//   ./build/bench/bench_serving                 # the sweep
+// --latency-smoke runs an abridged latency sweep plus its gate.
+//
+//   ./build/bench/bench_serving                 # the latency sweep
 //   ./build/bench/bench_serving --smoke         # CI smoke, exit 1 on failure
 //   ./build/bench/bench_serving --chaos-smoke   # CI resilience gate
+//   ./build/bench/bench_serving --latency-smoke # CI small-batch kernel gate
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -603,37 +606,29 @@ int run_latency_sweep(bool gate, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int windows = 240;
   std::uint64_t seed = 7;
   bool smoke = false;
   bool chaos_smoke = false;
-  bool latency = false;
   bool latency_smoke = false;
-  std::string out_csv;
   Cli cli("bench_serving",
-          "Online serving benchmark: latency/throughput sweep over an "
-          "exported ModelBundle (--smoke for the CI agreement gate, "
+          "Online serving benchmark: single-window latency sweep to "
+          "BENCH_serving_latency.json (--smoke for the CI agreement gate, "
           "--chaos-smoke for the resilience gate, --latency-smoke for the "
           "small-batch kernel gate).");
-  cli.flag("windows", &windows, "windows in the served stream");
   cli.flag("seed", &seed, "stream generation seed");
   cli.flag("smoke", &smoke, "serve 100 windows, assert offline agreement");
   cli.flag("chaos-smoke", &chaos_smoke,
            "burst a chaos-injected ServiceHost, assert typed shedding, "
            "deadline honesty, and rollback bit-identity");
-  cli.flag("latency", &latency,
-           "full single-window latency sweep (batch x model x algo) to "
-           "BENCH_serving_latency.json");
   cli.flag("latency-smoke", &latency_smoke,
            "abridged latency sweep plus the CI gate: small-batch kernel "
            ">=3x block path at batch=1 on RF+GBM, bit-identical probas");
-  cli.flag("out", &out_csv, "CSV dump path (empty = none)");
   cli.parse(argc, argv);
   set_log_level(LogLevel::Warn);
 
   // The latency sweep trains its own synthetic paper-scale models; it does
   // not need the bundle/stream setup below.
-  if (latency || latency_smoke) return run_latency_sweep(latency_smoke, seed);
+  if (!smoke && !chaos_smoke) return run_latency_sweep(latency_smoke, seed);
 
   // ---- train a small model and freeze it --------------------------------
   DatasetConfig cfg = tiny_config();
@@ -650,94 +645,47 @@ int main(int argc, char** argv) {
               bundle_path().c_str(), prepared.selected_names.size());
 
   const RunGenerator generator(cfg.system, cfg.registry, cfg.sim);
-  const std::size_t n =
-      (smoke || chaos_smoke) ? 100 : static_cast<std::size_t>(windows);
-  const Stream stream = make_stream(generator, n, seed + 1);
+  const Stream stream = make_stream(generator, 100, seed + 1);
 
   if (chaos_smoke) return run_chaos_smoke(stream, seed);
 
-  if (smoke) {
-    ServingConfig smoke_config;
-    smoke_config.max_batch = 8;
-    DiagnosisService service(load_model_bundle_file(bundle_path()),
-                             smoke_config);
-    const auto diagnoses = service.diagnose_batch(stream.windows);
-    const Matrix reference =
-        offline_probs(stream, generator, cfg, service.bundle(), prepared,
-                      *model);
-    const std::vector<int> offline_labels = model->predict(
-        [&] {
-          Matrix x = select_features_by_name(
-              extract_features(stream.samples, generator.registry(),
-                               *make_extractor(cfg.extractor),
-                               cfg.preprocess),
-              service.bundle().feature_names);
-          prepared.scaler.transform(x);
-          return prepared.selector.transform(x);
-        }());
+  DiagnosisService service(load_model_bundle_file(bundle_path()));
+  std::vector<Diagnosis> diagnoses;
+  diagnoses.reserve(stream.windows.size());
+  for (const Matrix& w : stream.windows) {
+    diagnoses.push_back(service.diagnose(w));
+  }
+  const Matrix reference = offline_probs(stream, generator, cfg,
+                                         service.bundle(), prepared, *model);
+  const std::vector<int> offline_labels = model->predict(
+      [&] {
+        Matrix x = select_features_by_name(
+            extract_features(stream.samples, generator.registry(),
+                             *make_extractor(cfg.extractor), cfg.preprocess),
+            service.bundle().feature_names);
+        prepared.scaler.transform(x);
+        return prepared.selector.transform(x);
+      }());
 
-    std::size_t disagreements = 0;
-    for (std::size_t i = 0; i < diagnoses.size(); ++i) {
-      if (diagnoses[i].label != offline_labels[i]) ++disagreements;
-      for (std::size_t c = 0; c < diagnoses[i].probs.size(); ++c) {
-        if (!bits_equal(diagnoses[i].probs[c], reference(i, c))) {
-          ++disagreements;
-          break;
-        }
+  std::size_t disagreements = 0;
+  for (std::size_t i = 0; i < diagnoses.size(); ++i) {
+    if (diagnoses[i].label != offline_labels[i]) ++disagreements;
+    for (std::size_t c = 0; c < diagnoses[i].probs.size(); ++c) {
+      if (!bits_equal(diagnoses[i].probs[c], reference(i, c))) {
+        ++disagreements;
+        break;
       }
     }
-    const ServingStats s = service.stats();
-    std::printf("[smoke] %s\n", format_serving_summary(s).c_str());
-    if (disagreements != 0 || s.windows_per_second() <= 0.0 ||
-        s.windows != diagnoses.size()) {
-      std::printf("[smoke] FAILED: %zu disagreements, %.1f win/s\n",
-                  disagreements, s.windows_per_second());
-      return 1;
-    }
-    std::printf("[smoke] ok: %zu windows served, bit-identical to the "
-                "offline pipeline\n", diagnoses.size());
-    return 0;
   }
-
-  // ---- the sweep ---------------------------------------------------------
-  const std::size_t hw = std::max<std::size_t>(
-      1, std::thread::hardware_concurrency());
-  std::vector<std::size_t> thread_counts{1};
-  if (hw > 1) thread_counts.push_back(hw);
-  const std::vector<std::size_t> batch_sizes{1, 8, 32};
-
-  TextTable table({"batch", "threads", "p50 ms", "p99 ms", "windows/s"});
-  std::vector<std::pair<std::string, ServingStats>> csv_rows;
-  for (const std::size_t threads : thread_counts) {
-    ThreadPool pool(threads);
-    for (const std::size_t batch : batch_sizes) {
-      ServingConfig serving;
-      serving.max_batch = batch;
-      serving.pool = &pool;
-      DiagnosisService service(load_model_bundle_file(bundle_path()), serving);
-      for (std::size_t begin = 0; begin < stream.windows.size();
-           begin += batch) {
-        const std::size_t end =
-            std::min(stream.windows.size(), begin + batch);
-        service.diagnose_batch(std::span<const Matrix>(stream.windows)
-                                   .subspan(begin, end - begin));
-      }
-      const ServingStats s = service.stats();
-      table.add_row({std::to_string(batch), std::to_string(threads),
-                     strformat("%.3f", s.latency_p50_ms),
-                     strformat("%.3f", s.latency_p99_ms),
-                     strformat("%.1f", s.windows_per_second())});
-      csv_rows.emplace_back(strformat("batch=%zu/threads=%zu", batch, threads),
-                            s);
-    }
+  const ServingStats s = service.stats();
+  std::printf("[smoke] %s\n", format_serving_summary(s).c_str());
+  if (disagreements != 0 || s.windows_per_second() <= 0.0 ||
+      s.windows != diagnoses.size()) {
+    std::printf("[smoke] FAILED: %zu disagreements, %.1f win/s\n",
+                disagreements, s.windows_per_second());
+    return 1;
   }
-  std::printf("\nserving sweep over %zu windows\n%s\n",
-              stream.windows.size(), table.render().c_str());
-
-  if (!out_csv.empty()) {
-    std::ofstream out(out_csv);
-    write_serving_stats_csv(out, csv_rows);
-    std::printf("CSV written to %s\n", out_csv.c_str());
-  }
+  std::printf("[smoke] ok: %zu windows served, bit-identical to the "
+              "offline pipeline\n", diagnoses.size());
   return 0;
 }

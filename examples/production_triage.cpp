@@ -61,8 +61,6 @@ int main() {
   // and deadline misses are statuses, not exceptions.
   std::printf("[deploy] hosting %s behind admission control\n\n",
               bundle_path.c_str());
-  ServingConfig serving;
-  serving.max_batch = 8;
   HostConfig host_config;
   host_config.workers = 2;
   host_config.queue_capacity = 16;
@@ -73,7 +71,7 @@ int main() {
   // names and serving stats; the fixed push below reloads the same export,
   // so its label names stay valid after the swap.
   const auto service = std::make_shared<DiagnosisService>(
-      load_model_bundle_file(bundle_path), serving);
+      load_model_bundle_file(bundle_path));
   ServiceHost host(service, host_config);
 
   // The production collector is imperfect: metric dropouts, stuck sensors,

@@ -1,40 +1,46 @@
 #!/usr/bin/env bash
-# Repo check: the tier-1 build + test suite, the same suite again under
-# `ctest -j --schedule-random --repeat until-fail:3` (test processes run
-# in parallel in a shuffled order, so a test that leans on another's
-# files or timing fails here), the production_triage example (exits 1
-# unless a corrupted push rolls back, the fixed push reaches generation
-# 2 and a post-drain request is shed as draining), a serving smoke run (train a
-# tiny model, export a bundle, serve 100 windows, assert bit-identical
-# agreement with the offline pipeline), a serving chaos smoke (burst a
-# ServiceHost under injected slow/failing extractions and poisoned bundle
-# pushes; only typed shedding, deadline-honest Ok results, and rollback
-# bit-identity are acceptable), a serving latency smoke (single-window
-# sweep over batch x model x split algo; the small-batch threshold-SoA
-# kernel must be >=3x the forced block path at batch=1 on RF+GBM with
-# bit-identical probabilities; percentiles land in
-# BENCH_serving_latency.json), an ML train smoke run (histogram vs exact
-# split finders must agree on macro-F1 within the parity gate), an ML
-# predict smoke run (compiled flat-SoA inference must match the
-# object-traversal reference on every argmax, stay within 1e-9 on
-# probabilities, and clear the 3x speedup gate at the 2000x2000 pool
-# scale; timings plus the small/block batch-size sweep land in
-# BENCH_ml_predict.json), a wire
-# smoke (stream a feed over the framed socket transport, assert row
-# conservation, bit-identical windows vs the in-process replay, and
-# diagnosis parity through a trained bundle; results land in
-# BENCH_wire.json), a wire
-# chaos smoke (seeded corrupt/duplicate/drop/slow-loris/backpressure/
-# server-restart scenarios, each asserting every sent row ends exactly
-# once in {ingested, typed-rejected} with nothing silently lost), an
-# AddressSanitizer + UndefinedBehaviorSanitizer build of the full suite
-# (the fault-injection paths shuffle NaNs and truncated buffers around —
-# exactly where silent out-of-bounds reads would hide), then a
-# ThreadSanitizer build of the concurrency-sensitive tests (thread pool,
-# tree training incl. the shared BinnedMatrix, active-learning loop, the
-# feature extractors on a pool, the diagnosis service, and its
-# overload-safe host) to catch races in the parallel
-# training/extraction/scoring/serving paths.
+# Repo check, stage by stage:
+#  1. tier 1: the build and the ctest suite;
+#  2. tier 1 shuffled: the same suite again under `ctest -j
+#     --schedule-random --repeat until-fail:3` (test processes run in
+#     parallel in a shuffled order, so a test that leans on another's files
+#     or timing fails here);
+#  3. production_triage example: exits 1 unless a corrupted push rolls
+#     back, the fixed push reaches generation 2 and a post-drain request is
+#     shed as draining;
+#  4. replay_feed example: streams a synthesized feed over loopback TCP
+#     into an IngestServer; exits 1 unless the triggered windows are
+#     bit-identical to an in-process replay of the same rows;
+#  5. serving smoke: train a tiny model, export a bundle, serve 100 windows
+#     one diagnose call at a time, assert bit-identical agreement with the
+#     offline pipeline;
+#  6. serving chaos smoke: burst a ServiceHost under injected slow/failing
+#     extractions and poisoned bundle pushes; only typed shedding,
+#     deadline-honest Ok results, and rollback bit-identity are acceptable;
+#  7. serving latency smoke: single-window sweep over batch x model x split
+#     algo; the small-batch threshold-SoA kernel must be >=3x the forced
+#     block path at batch=1 on RF+GBM with bit-identical probabilities;
+#     percentiles land in BENCH_serving_latency.json;
+#  8. ML smoke: histogram vs exact split finders agree on macro-F1 within
+#     the parity gate; compiled flat-SoA inference matches the
+#     object-traversal reference on every argmax, stays within 1e-9 on
+#     probabilities, and clears the 3x speedup gate at the 2000x2000 pool
+#     scale (timings plus the small/block batch-size sweep land in
+#     BENCH_ml_predict.json);
+#  9. wire smoke: stream a feed over the framed socket transport, assert
+#     row conservation, bit-identical windows vs the in-process replay, and
+#     diagnosis parity through a trained bundle (BENCH_wire.json);
+# 10. wire chaos smoke: seeded corrupt/duplicate/drop/slow-loris/
+#     backpressure/server-restart scenarios, each asserting every sent row
+#     ends exactly once in {ingested, typed-rejected};
+# 11. AddressSanitizer + UndefinedBehaviorSanitizer build of the full suite
+#     (the fault-injection paths shuffle NaNs and truncated buffers around,
+#     exactly where silent out-of-bounds reads would hide);
+# 12. ThreadSanitizer build of the concurrency-sensitive tests (thread
+#     pool, tree training incl. the shared BinnedMatrix, active-learning
+#     loop, the feature extractors on a pool, the diagnosis service, its
+#     overload-safe host, streaming and wire) to catch races in the
+#     parallel training/extraction/scoring/serving paths.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -52,6 +58,10 @@ echo "== tier 1 shuffled: parallel random order, each test up to 3 times =="
 echo
 echo "== example smoke: production triage (rollback, generation 2, typed drain) =="
 ./build/examples/production_triage > /dev/null
+
+echo
+echo "== example smoke: replay_feed (wire windows match an in-process replay) =="
+./build/examples/replay_feed > /dev/null
 
 echo
 echo "== serving smoke: export bundle + serve 100 windows =="

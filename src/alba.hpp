@@ -24,8 +24,8 @@
 //                network fault injection)
 //   serving      Diagnoser (the tier-uniform interface: DiagnoseRequest in,
 //                DiagnosisResult out, free diagnose_with_retry over any
-//                tier); DiagnosisService, ServingConfig, Diagnosis,
-//                ServingStats; ServiceHost (admission control, deadlines,
+//                tier); DiagnosisService (one window per call),
+//                ServingConfig, Diagnosis, ServingStats; ServiceHost (admission control, deadlines,
 //                health, drain, hot reload with rollback), ServingChaos
 //                (fault injection)
 //   utilities    logging, CLI flags, text tables, string helpers,

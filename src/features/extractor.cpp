@@ -34,44 +34,54 @@ std::unique_ptr<FeatureExtractor> make_extractor(ExtractorKind kind) {
   return std::make_unique<TsfreshExtractor>();
 }
 
-FeatureMatrix extract_features(const std::vector<Sample>& samples,
-                               const MetricRegistry& registry,
-                               const FeatureExtractor& extractor,
-                               const PreprocessConfig& preprocess) {
+namespace {
+
+// The zero feature matrix both extraction paths fill: one row per sample
+// with its provenance, and one column per (metric, feature) pair named
+// "metric|feature", metric-major (column j*F+k is feature k of metric j).
+FeatureMatrix empty_feature_matrix(const std::vector<Sample>& samples,
+                                   const MetricRegistry& registry,
+                                   const FeatureExtractor& extractor) {
   ALBA_CHECK(!samples.empty());
   const std::size_t m = registry.size();
   const std::size_t f = extractor.num_features();
-  const std::size_t cols = m * f;
 
   FeatureMatrix fm;
-  fm.x = Matrix(samples.size(), cols);
-  fm.names.reserve(cols);
+  fm.x = Matrix(samples.size(), m * f);
+  fm.names.reserve(m * f);
   const auto& feature_names = extractor.feature_names();
   for (std::size_t j = 0; j < m; ++j) {
     for (std::size_t k = 0; k < f; ++k) {
       fm.names.push_back(registry.metric(j).name + "|" + feature_names[k]);
     }
   }
+  for (const Sample& sample : samples) {
+    fm.labels.push_back(anomaly_label(sample.label));
+    fm.app_ids.push_back(sample.app_id);
+    fm.input_ids.push_back(sample.input_id);
+    fm.run_ids.push_back(sample.run_id);
+    fm.node_ids.push_back(sample.node_index);
+  }
+  return fm;
+}
 
-  fm.labels.resize(samples.size());
-  fm.app_ids.resize(samples.size());
-  fm.input_ids.resize(samples.size());
-  fm.run_ids.resize(samples.size());
-  fm.node_ids.resize(samples.size());
+}  // namespace
 
+FeatureMatrix extract_features(const std::vector<Sample>& samples,
+                               const MetricRegistry& registry,
+                               const FeatureExtractor& extractor,
+                               const PreprocessConfig& preprocess) {
+  FeatureMatrix fm = empty_feature_matrix(samples, registry, extractor);
+  const std::size_t m = registry.size();
+  const std::size_t f = extractor.num_features();
   parallel_for(samples.size(), [&](std::size_t s) {
-    const Sample& sample = samples[s];
-    const Matrix clean = preprocess_series(sample.series, registry, preprocess);
+    const Matrix clean =
+        preprocess_series(samples[s].series, registry, preprocess);
     auto row = fm.x.row(s);
     for (std::size_t j = 0; j < m; ++j) {
       const std::vector<double> col = clean.col(j);
       extractor.extract(col, FeaturePlan::all(), row.subspan(j * f, f));
     }
-    fm.labels[s] = anomaly_label(sample.label);
-    fm.app_ids[s] = sample.app_id;
-    fm.input_ids[s] = sample.input_id;
-    fm.run_ids[s] = sample.run_id;
-    fm.node_ids[s] = sample.node_index;
   });
   return fm;
 }
@@ -81,54 +91,26 @@ FeatureMatrix extract_features_robust(const std::vector<Sample>& samples,
                                       const FeatureExtractor& extractor,
                                       const PreprocessConfig& preprocess,
                                       ExtractionQuality& quality) {
-  ALBA_CHECK(!samples.empty());
   quality = ExtractionQuality{};
+  FeatureMatrix fm = empty_feature_matrix(samples, registry, extractor);
   const std::size_t m = registry.size();
   const std::size_t f = extractor.num_features();
-  const std::size_t cols = m * f;
-
-  FeatureMatrix fm;
-  fm.x = Matrix(samples.size(), cols);
-  fm.names.reserve(cols);
-  const auto& feature_names = extractor.feature_names();
-  for (std::size_t j = 0; j < m; ++j) {
-    for (std::size_t k = 0; k < f; ++k) {
-      fm.names.push_back(registry.metric(j).name + "|" + feature_names[k]);
-    }
-  }
-
-  fm.labels.resize(samples.size());
-  fm.app_ids.resize(samples.size());
-  fm.input_ids.resize(samples.size());
-  fm.run_ids.resize(samples.size());
-  fm.node_ids.resize(samples.size());
 
   // Per-sample accounting, aggregated after the parallel loop.
   std::vector<SeriesQuality> series_quality(samples.size());
   std::vector<std::size_t> failures(samples.size(), 0);
 
+  // Rows start zero, so an unusable sample (dropped below) and a
+  // quarantined metric's block need no writes.
   parallel_for(samples.size(), [&](std::size_t s) {
-    const Sample& sample = samples[s];
-    fm.labels[s] = anomaly_label(sample.label);
-    fm.app_ids[s] = sample.app_id;
-    fm.input_ids[s] = sample.input_id;
-    fm.run_ids[s] = sample.run_id;
-    fm.node_ids[s] = sample.node_index;
-
     SeriesQuality& sq = series_quality[s];
     const Matrix clean =
-        preprocess_series_robust(sample.series, registry, preprocess, sq);
+        preprocess_series_robust(samples[s].series, registry, preprocess, sq);
+    if (!sq.usable) return;
     auto row = fm.x.row(s);
-    if (!sq.usable) {
-      for (auto& v : row) v = 0.0;  // row is dropped below
-      return;
-    }
     for (std::size_t j = 0; j < m; ++j) {
+      if (!sq.metric_ok[j]) continue;
       auto block = row.subspan(j * f, f);
-      if (!sq.metric_ok[j]) {
-        for (auto& v : block) v = 0.0;
-        continue;
-      }
       const std::vector<double> col = clean.col(j);
       try {
         extractor.extract(col, FeaturePlan::all(), block);

@@ -1,5 +1,6 @@
 #include "features/preprocessing.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -80,9 +81,9 @@ std::vector<double> preprocess_metric_column(const Matrix& raw,
   ALBA_CHECK(metric < raw.cols());
   const auto head = static_cast<std::size_t>(config.trim_head);
 
-  // A non-finite reading counts as missing, as in preprocess_series_robust:
-  // two +inf counter readings would difference to NaN, and a NaN gap
-  // between +inf and -inf would interpolate to NaN.
+  // A non-finite reading counts as missing: two +inf counter readings
+  // would difference to NaN, and a NaN gap between +inf and -inf would
+  // interpolate to NaN.
   std::vector<double> col(t_kept);
   for (std::size_t t = 0; t < t_kept; ++t) {
     const double v = raw(head + t, metric);
@@ -129,50 +130,30 @@ Matrix preprocess_series_robust(const Matrix& raw,
   quality.usable = true;
 
   const std::size_t t_kept = t_raw - head - tail;
-  const std::size_t t_out = t_kept - 1;
   const std::size_t m = raw.cols();
   quality.metric_ok.assign(m, 1);
 
-  Matrix out(t_out, m);
-  std::vector<double> col(t_kept);
+  Matrix out(t_kept - 1, m);  // a quarantined column stays zero
   for (std::size_t j = 0; j < m; ++j) {
     std::size_t finite = 0;
     for (std::size_t t = 0; t < t_kept; ++t) {
-      col[t] = raw(head + t, j);
-      if (std::isfinite(col[t])) {
-        ++finite;
-      } else {
-        // Treat infinities like missing samples so interpolation repairs
-        // them instead of leaking into the features.
-        col[t] = std::numeric_limits<double>::quiet_NaN();
+      finite += std::isfinite(raw(head + t, j)) ? 1 : 0;
+    }
+    bool ok = finite >= kMinFiniteSamples;
+    if (ok) {
+      quality.cells_interpolated += t_kept - finite;
+      const std::vector<double> col =
+          preprocess_metric_column(raw, j, registry, config);
+      ok = !config.quarantine_constant ||
+           std::any_of(col.begin(), col.end(),
+                       [&](double v) { return v != col.front(); });
+      if (ok) {
+        for (std::size_t t = 0; t < col.size(); ++t) out(t, j) = col[t];
       }
     }
-    auto quarantine = [&] {
+    if (!ok) {
       quality.metric_ok[j] = 0;
       ++quality.metrics_quarantined;
-      for (std::size_t t = 0; t < t_out; ++t) out(t, j) = 0.0;
-    };
-    if (finite < kMinFiniteSamples) {
-      quarantine();
-      continue;
-    }
-    quality.cells_interpolated += t_kept - finite;
-    interpolate_nans(col);
-    if (registry.metric(j).kind == MetricKind::Counter) {
-      const auto rates = difference_counter(col);
-      for (std::size_t t = 0; t < t_out; ++t) out(t, j) = rates[t];
-    } else {
-      for (std::size_t t = 0; t < t_out; ++t) out(t, j) = col[t + 1];
-    }
-    if (config.quarantine_constant) {
-      bool constant = true;
-      for (std::size_t t = 1; t < t_out; ++t) {
-        if (out(t, j) != out(0, j)) {
-          constant = false;
-          break;
-        }
-      }
-      if (constant) quarantine();
     }
   }
   return out;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -29,22 +28,11 @@ constexpr std::size_t kBlockRows = 64;
 // share. On serving-shaped ensembles (tens of trees — the bench_serving
 // latency sweep) that holds through mid-teens batches; very large
 // ensembles amortize binning across trees instead and cross by batch ~2
-// (the bench_micro_ml batch sweep records both curves), which is what the
-// ALBA_SMALL_BATCH_CUTOFF override is for.
+// (the bench_micro_ml batch sweep records both curves).
 constexpr std::size_t kDefaultSmallBatchCutoff = 16;
 
-std::size_t cutoff_from_env() noexcept {
-  const char* env = std::getenv("ALBA_SMALL_BATCH_CUTOFF");
-  if (env == nullptr || *env == '\0') return kDefaultSmallBatchCutoff;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return kDefaultSmallBatchCutoff;
-  return static_cast<std::size_t>(
-      std::min<unsigned long long>(v, std::numeric_limits<std::size_t>::max()));
-}
-
 std::atomic<std::size_t>& cutoff_atomic() noexcept {
-  static std::atomic<std::size_t> cutoff{cutoff_from_env()};
+  static std::atomic<std::size_t> cutoff{kDefaultSmallBatchCutoff};
   return cutoff;
 }
 
@@ -318,10 +306,6 @@ std::size_t CompiledTreePredictor::small_batch_cutoff() noexcept {
 std::size_t CompiledTreePredictor::set_small_batch_cutoff(
     std::size_t cutoff) noexcept {
   return cutoff_atomic().exchange(cutoff, std::memory_order_relaxed);
-}
-
-void CompiledTreePredictor::reload_small_batch_cutoff_from_env() {
-  cutoff_atomic().store(cutoff_from_env(), std::memory_order_relaxed);
 }
 
 void CompiledTreePredictor::run_small(const double* const* rowp,

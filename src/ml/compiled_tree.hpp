@@ -31,7 +31,7 @@
 // beautifully across 64 rows × all trees — and is pure overhead for the
 // single-window requests the streaming front end triggers: one traversal
 // only touches the ~depth features on its taken path. Below a crossover
-// batch size (ALBA_SMALL_BATCH_CUTOFF, default measured) predict takes the
+// batch size (16, measured; see compiled_tree.cpp) predict takes the
 // threshold-SoA kernel instead: each node also carries its raw double
 // threshold in the same BFS-adjacent layout, and the walk compares
 // `value > threshold` directly on the taken path — no code quantization,
@@ -92,15 +92,12 @@ class CompiledTreePredictor {
 
   /// Crossover batch size: predict calls with at most this many rows take
   /// the small-batch threshold kernel, larger ones the binned block path.
-  /// Process-wide; initialized once from the ALBA_SMALL_BATCH_CUTOFF
-  /// environment variable (unset/unparsable = the measured default).
+  /// Process-wide; starts at the measured default of 16.
   static std::size_t small_batch_cutoff() noexcept;
   /// Overrides the crossover at runtime — benches and tests force each
   /// variant with 0 (always block) or SIZE_MAX (always small). Returns
   /// the previous value so callers can restore it.
   static std::size_t set_small_batch_cutoff(std::size_t cutoff) noexcept;
-  /// Re-reads ALBA_SMALL_BATCH_CUTOFF (for tests that setenv mid-process).
-  static void reload_small_batch_cutoff_from_env();
 
  private:
   // Leaf payload semantics per model family: Average sums k-wide leaf

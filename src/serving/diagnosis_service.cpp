@@ -35,11 +35,9 @@ DiagnosisService::DiagnosisService(ModelBundle bundle, ServingConfig config)
     : bundle_(std::move(bundle)),
       config_(config),
       registry_(bundle_.features.system, bundle_.features.registry),
-      extractor_(make_extractor(bundle_.features.extractor)),
-      pool_(config.pool != nullptr ? config.pool : &global_pool()) {
+      extractor_(make_extractor(bundle_.features.extractor)) {
   ALBA_CHECK(bundle_.model && bundle_.model->fitted())
       << "DiagnosisService needs a fitted model";
-  ALBA_CHECK(config_.max_batch > 0);
 
   // Resolve every selected feature name against the raw feature space this
   // registry/extractor pair produces (column j*F+f is feature f of metric
@@ -118,54 +116,12 @@ void DiagnosisService::extract_row(const Matrix& window,
   }
 }
 
-void DiagnosisService::serve_micro_batch(std::span<const Matrix> windows,
-                                         std::span<Diagnosis> out) {
-  const std::size_t n = windows.size();
+Diagnosis DiagnosisService::diagnose(const Matrix& window) {
   const auto start = std::chrono::steady_clock::now();
-
-  // Parallel feature extraction, one row per window, then one forward
-  // pass for the whole micro-batch.
-  Timer phase;
-  Matrix batch_x(n, bundle_.selected.size());
-  pool_->parallel_for(
-      n, [&](std::size_t i) { extract_row(windows[i], batch_x.row(i)); });
-  const double extract_s = phase.seconds();
-
-  phase.reset();
-  const Matrix probs = bundle_.model->predict_proba(batch_x);
-  const double predict_s = phase.seconds();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    Diagnosis& d = out[i];
-    const auto row = probs.row(i);
-    d.probs.assign(row.begin(), row.end());
-    d.label = argmax_label(row);
-    d.confidence = row[static_cast<std::size_t>(d.label)];
-  }
-  record_request(start, std::chrono::steady_clock::now(), n, extract_s,
-                 predict_s, 1);
-}
-
-std::vector<Diagnosis> DiagnosisService::diagnose_batch(
-    std::span<const Matrix> windows) {
-  std::vector<Diagnosis> out(windows.size());
-  for (std::size_t begin = 0; begin < windows.size();
-       begin += config_.max_batch) {
-    const std::size_t end =
-        std::min(windows.size(), begin + config_.max_batch);
-    serve_micro_batch(windows.subspan(begin, end - begin),
-                      std::span<Diagnosis>(out).subspan(begin, end - begin));
-  }
-  return out;
-}
-
-void DiagnosisService::serve_single(const Matrix& window, Diagnosis& out) {
-  const auto start = std::chrono::steady_clock::now();
-  // Per-thread scratch: reshape keeps capacity, so after the first request
-  // on a thread neither matrix allocates again. Extraction runs inline —
-  // one row cannot use the pool, and skipping the dispatch saves its
-  // latency too. The predictor sees a batch of one, which predict_dispatch
-  // routes to the small-batch threshold kernel.
+  // Per-thread scratch: reshape keeps capacity, so after the first window
+  // on a thread neither matrix allocates again. The predictor sees a batch
+  // of one, which predict_dispatch routes to the small-batch threshold
+  // kernel.
   Timer phase;
   thread_local Matrix x;
   thread_local Matrix probs;
@@ -179,17 +135,13 @@ void DiagnosisService::serve_single(const Matrix& window, Diagnosis& out) {
                                     probs);
   const double predict_s = phase.seconds();
 
+  Diagnosis out;
   const auto row = probs.row(0);
   out.probs.assign(row.begin(), row.end());
   out.label = argmax_label(row);
   out.confidence = row[static_cast<std::size_t>(out.label)];
-  record_request(start, std::chrono::steady_clock::now(), 1, extract_s,
-                 predict_s, 1);
-}
-
-Diagnosis DiagnosisService::diagnose(const Matrix& window) {
-  Diagnosis out;
-  serve_single(window, out);
+  record_window(start, std::chrono::steady_clock::now(), extract_s,
+                predict_s);
   return out;
 }
 
@@ -227,19 +179,17 @@ std::string_view DiagnosisService::label_name(int label) const {
   return bundle_.label_names[static_cast<std::size_t>(label)];
 }
 
-void DiagnosisService::record_request(
+void DiagnosisService::record_window(
     std::chrono::steady_clock::time_point start,
-    std::chrono::steady_clock::time_point end, std::size_t windows,
-    double extract_s, double predict_s, std::size_t batches) {
+    std::chrono::steady_clock::time_point end, double extract_s,
+    double predict_s) {
   const double total_s = std::chrono::duration<double>(end - start).count();
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  totals_.requests += 1;
-  totals_.windows += windows;
-  totals_.batches += batches;
+  totals_.windows += 1;
   totals_.extract_seconds += extract_s;
   totals_.predict_seconds += predict_s;
   totals_.total_seconds += total_s;
-  // Wall-clock span: first request's start to the latest end, so
+  // Wall-clock span: first window's start to the latest end, so
   // concurrent workers don't double-count overlapping time the way the
   // summed total_seconds does.
   if (!span_started_ || start < span_first_) {

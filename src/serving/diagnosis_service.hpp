@@ -16,16 +16,17 @@
 //    place in the model row, so no feature_names-wide row or per-metric
 //    feature vector is ever materialized.
 //
-// Windows are served as micro-batches: feature rows are extracted in
-// parallel on the shared ThreadPool and predicted with one classifier
-// forward pass per batch. Every window runs the pipeline: there is no
-// content cache, because online every window is new (the ingestor drops
-// re-delivered rows by seq before they can form a repeated window).
+// Each call serves one window: extraction runs inline on the calling
+// thread, and the classifier sees a batch of one, which predict_dispatch
+// routes to the small-batch threshold kernel. Every window runs the
+// pipeline: there is no content cache, because online every window is new
+// (the ingestor drops re-delivered rows by seq before they can form a
+// repeated window).
 //
-// Thread-safety contract: diagnose and diagnose_batch may be called
-// concurrently from any number of threads. The statistics are
-// mutex-guarded; the pipeline itself only reads the frozen bundle.
-// stats()/reset_stats() are safe concurrently with serving.
+// Thread-safety contract: diagnose may be called concurrently from any
+// number of threads; each thread reuses its own scratch rows. The
+// statistics are mutex-guarded; the pipeline itself only reads the frozen
+// bundle. stats()/reset_stats() are safe concurrently with serving.
 #pragma once
 
 #include <chrono>
@@ -37,7 +38,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "features/extractor.hpp"
 #include "linalg/matrix.hpp"
 #include "serving/diagnoser.hpp"
@@ -48,15 +48,9 @@
 namespace alba {
 
 struct ServingConfig {
-  // Windows per classifier forward pass; larger batches amortize the
-  // per-call overhead at the cost of per-window latency.
-  std::size_t max_batch = 32;
   // Inert: serving keeps no window cache. Kept only because e2ebench/
   // sets it; nothing reads it.
   std::size_t cache_capacity = 0;
-  // Pool for parallel feature extraction; nullptr = the process-wide
-  // global_pool().
-  ThreadPool* pool = nullptr;
   // Called once per window at the start of feature extraction; the chaos
   // harness (serving/chaos.hpp) uses it to inject slow or failing
   // extractions. A throw from the hook aborts that window's pipeline pass
@@ -71,7 +65,7 @@ struct ServingConfig {
 class DiagnosisService : public Diagnoser {
  public:
   /// Latency-percentile window: stats() computes p50/p99 over at most this
-  /// many most-recent requests.
+  /// many most-recent windows.
   static constexpr std::size_t kLatencyWindow = 4096;
 
   /// Takes ownership of the bundle and precomputes the serving plan
@@ -88,14 +82,10 @@ class DiagnosisService : public Diagnoser {
   /// Diagnoser interface: the non-throwing, deadline-aware entry point.
   /// Pipeline exceptions become status Failed; a request whose deadline is
   /// already expired (or that finishes past it) comes back RejectedDeadline
-  /// with no diagnosis — the Ok-met-its-deadline contract of the host,
-  /// honored here too. Reports generation 1 (a bare service never
-  /// reloads), attempts 1.
+  /// with no diagnosis, so Ok always met its deadline. ServiceHost's
+  /// workers serve through this call, so the two tiers share these rules.
+  /// Reports generation 1 (a bare service never reloads), attempts 1.
   DiagnosisResult diagnose(const DiagnoseRequest& request) override;
-
-  /// Diagnoses a stream of windows as micro-batches of at most
-  /// config.max_batch, preserving order.
-  std::vector<Diagnosis> diagnose_batch(std::span<const Matrix> windows);
 
   const ModelBundle& bundle() const noexcept { return bundle_; }
   const ServingConfig& config() const noexcept { return config_; }
@@ -116,24 +106,14 @@ class DiagnosisService : public Diagnoser {
   };
 
   void extract_row(const Matrix& window, std::span<double> out) const;
-  void serve_micro_batch(std::span<const Matrix> windows,
-                         std::span<Diagnosis> out);
-  // Single-window fast path: no pool dispatch, and the feature row +
-  // probability matrices are per-thread scratch reused across requests,
-  // so a request performs no batch-assembly copies or steady-state
-  // allocations before the predictor runs. Results are bit-identical to
-  // serve_micro_batch on a one-window span.
-  void serve_single(const Matrix& window, Diagnosis& out);
-  void record_request(std::chrono::steady_clock::time_point start,
-                      std::chrono::steady_clock::time_point end,
-                      std::size_t windows, double extract_s,
-                      double predict_s, std::size_t batches);
+  void record_window(std::chrono::steady_clock::time_point start,
+                     std::chrono::steady_clock::time_point end,
+                     double extract_s, double predict_s);
 
   ModelBundle bundle_;
   ServingConfig config_;
   MetricRegistry registry_;
   std::unique_ptr<FeatureExtractor> extractor_;
-  ThreadPool* pool_;
 
   // Precomputed plan: per-needed-metric extraction targets and, per model
   // input column, the Min-Max parameters of its source feature column.
@@ -141,11 +121,11 @@ class DiagnosisService : public Diagnoser {
   std::vector<double> col_min_;
   std::vector<double> col_max_;
 
-  // Aggregate counters + per-request latency ring (RoundStats idiom).
-  // wall-clock span endpoints: first request start, latest request end.
+  // Aggregate counters + per-window latency ring (RoundStats idiom).
+  // wall-clock span endpoints: first window start, latest window end.
   mutable std::mutex stats_mutex_;
   ServingStats totals_;
-  OutcomeWindow latency_{kLatencyWindow};  // total_ms per request
+  OutcomeWindow latency_{kLatencyWindow};  // total_ms per window
   bool span_started_ = false;
   std::chrono::steady_clock::time_point span_first_{};
   std::chrono::steady_clock::time_point span_last_{};

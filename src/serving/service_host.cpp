@@ -170,14 +170,13 @@ void ServiceHost::worker_loop() {
       ++in_flight_;
     }
 
-    const auto dequeued_at = Deadline::Clock::now();
+    const double queue_ms = ms_between(req.admitted_at, Deadline::Clock::now());
     DiagnosisResult result;
-    result.queue_ms = ms_between(req.admitted_at, dequeued_at);
-
     if (req.deadline.expired()) {
       // Shed without doing the work: the answer could only arrive late.
       result.status = RequestStatus::RejectedDeadline;
-      result.total_ms = result.queue_ms;
+      result.queue_ms = queue_ms;
+      result.total_ms = queue_ms;
       std::lock_guard<std::mutex> lock(mutex_);
       ++totals_.rejected_deadline;
     } else {
@@ -188,30 +187,26 @@ void ServiceHost::worker_loop() {
         service = service_;
         generation = generation_;
       }
-      try {
-        result.diagnosis = service->diagnose(*req.window);
-        result.status = RequestStatus::Ok;
-      } catch (const std::exception& e) {
-        result.status = RequestStatus::Failed;
-        result.error = e.what();
-      }
-      const auto finished_at = Deadline::Clock::now();
+      // The service owns the status rules: a throw becomes Failed, and an
+      // Ok that finishes past the deadline becomes RejectedDeadline.
+      result = service->diagnose(DiagnoseRequest{req.window, req.deadline});
       result.generation = generation;
-      result.service_ms = ms_between(dequeued_at, finished_at);
-      result.total_ms = ms_between(req.admitted_at, finished_at);
+      result.queue_ms = queue_ms;
+      result.total_ms = ms_between(req.admitted_at, Deadline::Clock::now());
 
       std::lock_guard<std::mutex> lock(mutex_);
-      if (result.status == RequestStatus::Ok && req.deadline.expired()) {
-        // The work finished, but past its deadline: an Ok result must
-        // always have met its deadline, so this one is reported as shed.
-        result.status = RequestStatus::RejectedDeadline;
-        result.diagnosis = Diagnosis{};
-        ++totals_.deadline_misses;
-        ++totals_.rejected_deadline;
-      } else if (result.status == RequestStatus::Ok) {
-        ++totals_.completed;
-      } else {
-        ++totals_.failed;
+      switch (result.status) {
+        case RequestStatus::Ok:
+          ++totals_.completed;
+          break;
+        case RequestStatus::RejectedDeadline:
+          // Admitted in time, answered late.
+          ++totals_.deadline_misses;
+          ++totals_.rejected_deadline;
+          break;
+        default:
+          ++totals_.failed;
+          break;
       }
       // Health sees pipeline outcomes (success vs failure + latency);
       // deliberate shedding stays out so overload alone cannot trip it.

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <vector>
 
-#include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 
@@ -57,42 +55,11 @@ double OutcomeWindow::percentile(double Outcome::*field, double q) const {
 
 std::string format_serving_summary(const ServingStats& s) {
   return strformat(
-      "%llu windows in %llu requests: %.1f win/s, p50 %.2fms, p99 %.2fms, "
-      "p99.9 %.2fms, min %.2fms (extract %.2fs, predict %.2fs)",
-      static_cast<unsigned long long>(s.windows),
-      static_cast<unsigned long long>(s.requests), s.windows_per_second(),
+      "%llu windows: %.1f win/s, p50 %.2fms, p99 %.2fms, p99.9 %.2fms, "
+      "min %.2fms (extract %.2fs, predict %.2fs)",
+      static_cast<unsigned long long>(s.windows), s.windows_per_second(),
       s.latency_p50_ms, s.latency_p99_ms, s.latency_p999_ms,
       s.latency_min_ms, s.extract_seconds, s.predict_seconds);
-}
-
-std::string serving_stats_csv_header() {
-  return "label,requests,windows,batches,extract_seconds,predict_seconds,"
-         "total_seconds,wall_seconds,windows_per_second,latency_p50_ms,"
-         "latency_p99_ms,latency_p999_ms,latency_min_ms";
-}
-
-std::string serving_stats_csv_row(std::string_view label,
-                                  const ServingStats& s) {
-  // The label is free-form configuration text (e.g. "batch=8,threads=4");
-  // RFC-4180 quoting keeps a comma or quote in it from shearing columns.
-  return csv_escape(std::string(label)) +
-         strformat(
-             ",%llu,%llu,%llu,%.6f,%.6f,%.6f,%.6f,%.3f,%.4f,%.4f,%.4f,%.4f",
-             static_cast<unsigned long long>(s.requests),
-             static_cast<unsigned long long>(s.windows),
-             static_cast<unsigned long long>(s.batches),
-             s.extract_seconds, s.predict_seconds, s.total_seconds,
-             s.wall_seconds, s.windows_per_second(), s.latency_p50_ms,
-             s.latency_p99_ms, s.latency_p999_ms, s.latency_min_ms);
-}
-
-void write_serving_stats_csv(
-    std::ostream& os,
-    std::span<const std::pair<std::string, ServingStats>> rows) {
-  os << serving_stats_csv_header() << "\n";
-  for (const auto& [label, stats] : rows) {
-    os << serving_stats_csv_row(label, stats) << "\n";
-  }
 }
 
 }  // namespace alba

@@ -1,39 +1,33 @@
 // Aggregate instrumentation of the online diagnosis path, following the
 // RoundStats idiom from the active-learning loop: the service records phase
-// timings (feature extraction vs. model forward pass) and
-// request/window/batch counts as it serves, and exposes an immutable
-// snapshot with derived throughput and latency percentiles. Benches and the
-// smoke stage consume the same snapshot instead of re-instrumenting the
-// service.
+// timings (feature extraction vs. model forward pass) and a window count as
+// it serves, and exposes an immutable snapshot with derived throughput and
+// latency percentiles. Benches and the smoke stage consume the same
+// snapshot instead of re-instrumenting the service.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 namespace alba {
 
 /// Snapshot of a DiagnosisService's counters since construction (or the
-/// last reset_stats). Latency percentiles cover the most recent requests
+/// last reset_stats). Latency percentiles cover the most recent windows
 /// (a bounded ring; see DiagnosisService::kLatencyWindow).
 struct ServingStats {
-  std::uint64_t requests = 0;      // diagnose / diagnose_batch calls
-  std::uint64_t windows = 0;       // windows diagnosed
-  std::uint64_t batches = 0;       // model forward passes
+  std::uint64_t windows = 0;       // windows diagnosed, one per call
   double extract_seconds = 0.0;    // preprocess + feature extraction
   double predict_seconds = 0.0;    // classifier forward passes
   // Per-call time summed across workers — under concurrent serving this
   // exceeds elapsed time, so throughput must not divide by it.
   double total_seconds = 0.0;
-  // Monotonic span from the first request's start to the latest request's
+  // Monotonic span from the first window's start to the latest window's
   // end — the denominator of windows_per_second().
   double wall_seconds = 0.0;
-  double latency_p50_ms = 0.0;     // per-request latency percentiles
+  double latency_p50_ms = 0.0;     // per-window latency percentiles
   double latency_p99_ms = 0.0;
   // Tail and floor of the same ring: p99.9 is the metric the small-batch
   // serving path optimizes, min bounds what the hardware allows.
@@ -89,21 +83,8 @@ class OutcomeWindow {
 };
 
 /// One human-readable line, e.g.
-///   "640 windows in 512 requests: 123.4 win/s, p50 1.2ms, p99 4.5ms,
-///    p99.9 6.0ms, min 0.8ms (extract 3.1s, predict 1.0s)".
+///   "640 windows: 123.4 win/s, p50 1.2ms, p99 4.5ms, p99.9 6.0ms,
+///    min 0.8ms (extract 3.1s, predict 1.0s)".
 std::string format_serving_summary(const ServingStats& s);
-
-/// CSV column names matching serving_stats_csv_row field order; the leading
-/// `label` column tags the configuration (e.g. "batch=8/threads=4") so one
-/// file can hold a whole sweep.
-std::string serving_stats_csv_header();
-std::string serving_stats_csv_row(std::string_view label,
-                                  const ServingStats& s);
-
-/// Writes header + one row per (label, stats) entry — the serving twin of
-/// write_round_stats_csv, so sweep output lands in one file per run.
-void write_serving_stats_csv(
-    std::ostream& os,
-    std::span<const std::pair<std::string, ServingStats>> rows);
 
 }  // namespace alba

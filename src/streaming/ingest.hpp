@@ -107,7 +107,7 @@ std::string ingest_stats_csv_row(std::string_view label,
                                  const IngestStats& s);
 
 /// Writes header + one row per (label, stats) entry — the ingest twin of
-/// write_serving_stats_csv.
+/// write_round_stats_csv.
 void write_ingest_stats_csv(
     std::ostream& os,
     std::span<const std::pair<std::string, IngestStats>> rows);

@@ -374,31 +374,6 @@ TEST(CompiledTree, WideCodeModelBitIdenticalOnBothKernels) {
   check_dispatch_boundary(rf, probe);
 }
 
-TEST(CompiledTree, CutoffEnvReloadParsesAndFallsBack) {
-  const std::size_t entry = CompiledTreePredictor::small_batch_cutoff();
-  setenv("ALBA_SMALL_BATCH_CUTOFF", "0", 1);
-  CompiledTreePredictor::reload_small_batch_cutoff_from_env();
-  EXPECT_EQ(CompiledTreePredictor::small_batch_cutoff(), 0u);
-  setenv("ALBA_SMALL_BATCH_CUTOFF", "1", 1);
-  CompiledTreePredictor::reload_small_batch_cutoff_from_env();
-  EXPECT_EQ(CompiledTreePredictor::small_batch_cutoff(), 1u);
-  setenv("ALBA_SMALL_BATCH_CUTOFF", "18446744073709551615", 1);
-  CompiledTreePredictor::reload_small_batch_cutoff_from_env();
-  EXPECT_EQ(CompiledTreePredictor::small_batch_cutoff(),
-            std::numeric_limits<std::size_t>::max());
-  // Unset and unparsable both fall back to the built-in default.
-  unsetenv("ALBA_SMALL_BATCH_CUTOFF");
-  CompiledTreePredictor::reload_small_batch_cutoff_from_env();
-  const std::size_t fallback = CompiledTreePredictor::small_batch_cutoff();
-  EXPECT_GT(fallback, 0u);
-  setenv("ALBA_SMALL_BATCH_CUTOFF", "not-a-number", 1);
-  CompiledTreePredictor::reload_small_batch_cutoff_from_env();
-  EXPECT_EQ(CompiledTreePredictor::small_batch_cutoff(), fallback);
-  unsetenv("ALBA_SMALL_BATCH_CUTOFF");
-  CompiledTreePredictor::reload_small_batch_cutoff_from_env();
-  CompiledTreePredictor::set_small_batch_cutoff(entry);
-}
-
 // ----------------------------------------------------------- allocation ---
 
 // The small-batch kernel promises zero heap traffic, and the block path
