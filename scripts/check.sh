@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo check, stage by stage:
-#  1. tier 1: the build and the ctest suite;
+#  1. tier 1: the build, with -DALBA_WERROR=ON so a new warning fails
+#     it, and the ctest suite;
 #  2. tier 1 shuffled: the same suite again under `ctest -j
 #     --schedule-random --repeat until-fail:3` (test processes run in
 #     parallel in a shuffled order, so a test that leans on another's files
@@ -45,8 +46,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== tier 1: build + ctest =="
-cmake -B build -S . > /dev/null
+echo "== tier 1: build (warnings are errors) + ctest =="
+cmake -B build -S . -DALBA_WERROR=ON > /dev/null
 cmake --build build -j"$(nproc)" > /dev/null
 (cd build && ctest --output-on-failure -j"$(nproc)")
 

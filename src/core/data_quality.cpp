@@ -1,7 +1,8 @@
 #include "core/data_quality.hpp"
 
-#include <ostream>
 #include <sstream>
+
+#include "common/csv.hpp"
 
 namespace alba {
 
@@ -42,7 +43,7 @@ std::string data_quality_csv_header() {
 std::string data_quality_csv_row(std::string_view label,
                                  const DataQualityReport& q) {
   std::ostringstream os;
-  os << label << ',' << q.faults.total_events() << ','
+  os << csv_escape(std::string(label)) << ',' << q.faults.total_events() << ','
      << q.faults.metric_dropouts << ',' << q.faults.stuck_metrics << ','
      << q.faults.nan_bursts << ',' << q.faults.counter_resets << ','
      << q.faults.stalled_rows << ',' << q.faults.truncated_runs << ','
@@ -51,12 +52,6 @@ std::string data_quality_csv_row(std::string_view label,
      << q.feature_failures << ',' << q.rows_dropped << ','
      << q.columns_dropped << ',' << q.degenerate_columns;
   return os.str();
-}
-
-void write_data_quality_csv(std::ostream& os, std::string_view label,
-                            const DataQualityReport& q) {
-  os << data_quality_csv_header() << '\n';
-  os << data_quality_csv_row(label, q) << '\n';
 }
 
 }  // namespace alba

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -42,11 +41,8 @@ std::string format_data_quality(const DataQualityReport& q);
 /// leading `label` column tags the dataset (e.g. a fault intensity) so
 /// several datasets can share one file.
 std::string data_quality_csv_header();
+/// One row; the label is RFC-4180-escaped, so it may hold commas.
 std::string data_quality_csv_row(std::string_view label,
                                  const DataQualityReport& q);
-
-/// Writes header + one row under the given label.
-void write_data_quality_csv(std::ostream& os, std::string_view label,
-                            const DataQualityReport& q);
 
 }  // namespace alba

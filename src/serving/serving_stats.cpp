@@ -56,10 +56,10 @@ double OutcomeWindow::percentile(double Outcome::*field, double q) const {
 std::string format_serving_summary(const ServingStats& s) {
   return strformat(
       "%llu windows: %.1f win/s, p50 %.2fms, p99 %.2fms, p99.9 %.2fms, "
-      "min %.2fms (extract %.2fs, predict %.2fs)",
+      "min %.2fms (extract %.2fms, predict %.2fms)",
       static_cast<unsigned long long>(s.windows), s.windows_per_second(),
       s.latency_p50_ms, s.latency_p99_ms, s.latency_p999_ms,
-      s.latency_min_ms, s.extract_seconds, s.predict_seconds);
+      s.latency_min_ms, s.extract_seconds * 1e3, s.predict_seconds * 1e3);
 }
 
 }  // namespace alba

@@ -84,7 +84,7 @@ class OutcomeWindow {
 
 /// One human-readable line, e.g.
 ///   "640 windows: 123.4 win/s, p50 1.2ms, p99 4.5ms, p99.9 6.0ms,
-///    min 0.8ms (extract 3.1s, predict 1.0s)".
+///    min 0.8ms (extract 310.2ms, predict 12.4ms)".
 std::string format_serving_summary(const ServingStats& s);
 
 }  // namespace alba

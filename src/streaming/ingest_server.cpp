@@ -24,11 +24,7 @@ IngestServer::IngestServer(std::unique_ptr<Listener> listener,
                            IngestServerConfig config, Diagnoser* diagnoser)
     : IngestServer(std::move(listener), ingestor, config, diagnoser) {
   for (const IngestServerSnapshot::Node& n : resume.nodes) {
-    NodeWire& nw = nodes_[n.node];
-    nw.watermark = n.watermark;
-    nw.rows_pushed = n.rows_pushed;
-    nw.rejected_backpressure = n.rejected_backpressure;
-    nw.decode_errors = n.decode_errors;
+    nodes_[n.node].durable = n;
   }
 }
 
@@ -45,7 +41,7 @@ void IngestServer::close() {
 void IngestServer::kill_conn(Conn& c) {
   if (c.dead) return;
   c.dead = true;
-  if (c.conn) c.conn->close();
+  c.link.close();
   if (c.hello_done) {
     auto it = nodes_.find(c.node);
     if (it != nodes_.end() && it->second.owner == &c) {
@@ -70,36 +66,9 @@ void IngestServer::accept_pending(double now_ms) {
       ++wire_stats_.refused_connections;
       continue;
     }
-    auto c = std::make_unique<Conn>();
-    c->conn = std::move(conn);
-    c->last_rx_ms = now_ms;
-    c->last_tx_ms = now_ms;
-    conns_.push_back(std::move(c));
+    conns_.push_back(std::make_unique<Conn>(
+        Conn{FramedConnection(std::move(conn), now_ms)}));
     ++wire_stats_.accepted_connections;
-  }
-}
-
-void IngestServer::enqueue_frame(Conn& c, const Frame& frame) {
-  append_frame(c.outbuf, frame);
-}
-
-void IngestServer::flush_conn(Conn& c, double now_ms) {
-  if (c.dead || c.outbuf_head >= c.outbuf.size()) return;
-  const std::span<const std::uint8_t> chunk{c.outbuf.data() + c.outbuf_head,
-                                            c.outbuf.size() - c.outbuf_head};
-  const IoResult w = c.conn->write_some(chunk);
-  if (w.n > 0) {
-    c.outbuf_head += w.n;
-    wire_stats_.bytes_sent += w.n;
-    c.last_tx_ms = now_ms;
-  }
-  if (w.error != 0) {
-    kill_conn(c);
-    return;
-  }
-  if (c.outbuf_head >= c.outbuf.size()) {
-    c.outbuf.clear();
-    c.outbuf_head = 0;
   }
 }
 
@@ -109,16 +78,16 @@ void IngestServer::dispose_row(Conn& c, const RowFrame& row, NodeWire& nw,
     // Typed shed: the row is disposed (and will be acked) without touching
     // the ingestor. The client must not retransmit it — backpressure is a
     // decision about this row, not a transport failure.
-    ++nw.rejected_backpressure;
+    ++nw.durable.rejected_backpressure;
     ++wire_stats_.rows_rejected;
-    ++nw.watermark;
+    ++nw.durable.watermark;
     return;
   }
   std::vector<TriggeredWindow> wins =
       ingestor_.push(c.node, row.seq, row.values);
-  ++nw.rows_pushed;
+  ++nw.durable.rows_pushed;
   ++wire_stats_.rows_ingested;
-  ++nw.watermark;
+  ++nw.durable.watermark;
   ++budget_used;
   for (TriggeredWindow& w : wins) {
     ServedWindow sw;
@@ -136,10 +105,10 @@ void IngestServer::dispose_row(Conn& c, const RowFrame& row, NodeWire& nw,
   }
 }
 
-bool IngestServer::handle_frame(Conn& c, const Frame& frame, double now_ms,
+// False when the frame killed `c` (a protocol violation).
+bool IngestServer::handle_frame(Conn& c, const Frame& frame,
                                 std::map<int, std::size_t>& rows_this_poll,
                                 std::size_t& disposed) {
-  (void)now_ms;
   if (const auto* hello = std::get_if<HelloFrame>(&frame)) {
     const auto node = static_cast<int>(hello->node);
     if (c.hello_done || hello->protocol != kWireVersion ||
@@ -149,6 +118,7 @@ bool IngestServer::handle_frame(Conn& c, const Frame& frame, double now_ms,
       return false;
     }
     NodeWire& nw = nodes_[node];
+    nw.durable.node = node;  // the node's first Hello creates its entry
     if (nw.owner != nullptr && nw.owner != &c) {
       // The reconnecting client wins; its stale previous socket is dead
       // weight (often not yet timed out on our side).
@@ -160,8 +130,8 @@ bool IngestServer::handle_frame(Conn& c, const Frame& frame, double now_ms,
     nw.owner = &c;
     HelloAckFrame ack;
     ack.node = hello->node;
-    ack.resume_index = nw.watermark;
-    enqueue_frame(c, ack);
+    ack.resume_index = nw.durable.watermark;
+    c.link.send(ack);
     return true;
   }
 
@@ -174,14 +144,14 @@ bool IngestServer::handle_frame(Conn& c, const Frame& frame, double now_ms,
       return false;
     }
     NodeWire& nw = nodes_[c.node];
-    if (row->wire_index < nw.watermark) {
+    if (row->wire_index < nw.durable.watermark) {
       // Retransmit of an already-disposed row (the ack was in flight when
       // the client resent). Drop it and re-ack so the client catches up.
       ++wire_stats_.duplicates_dropped;
       ++disposed;
       return true;
     }
-    if (row->wire_index > nw.watermark) {
+    if (row->wire_index > nw.durable.watermark) {
       // The transport is ordered, so a gap means the peer skipped rows —
       // that is a broken client, not a network fault.
       ++wire_stats_.protocol_errors;
@@ -207,60 +177,40 @@ bool IngestServer::handle_frame(Conn& c, const Frame& frame, double now_ms,
 std::size_t IngestServer::service_conn(
     Conn& c, double now_ms, std::map<int, std::size_t>& rows_this_poll) {
   std::size_t disposed = 0;
-  std::uint8_t buf[4096];
-  while (!c.dead) {
-    const IoResult r = c.conn->read_some(buf);
-    if (r.n > 0) {
-      wire_stats_.bytes_received += r.n;
-      c.last_rx_ms = now_ms;
-      c.decoder.feed({buf, r.n});
-      Frame frame;
-      while (!c.dead) {
-        const FrameDecoder::State s = c.decoder.next(frame);
-        if (s == FrameDecoder::State::FrameReady) {
-          if (!handle_frame(c, frame, now_ms, rows_this_poll, disposed)) {
-            return disposed;
-          }
-          continue;
-        }
-        if (s == FrameDecoder::State::Error) {
-          ++wire_stats_.decode_errors;
-          if (c.hello_done) ++nodes_[c.node].decode_errors;
-          kill_conn(c);
-          return disposed;
-        }
-        break;  // NeedMore
-      }
-    }
-    if (r.eof || r.error != 0) {
+  const FramedConnection::ReadEnd end = c.link.read_frames(
+      now_ms, wire_stats_.bytes_received, [&](const Frame& frame) {
+        return handle_frame(c, frame, rows_this_poll, disposed);
+      });
+  switch (end) {
+    case FramedConnection::ReadEnd::Drained:
+      break;
+    case FramedConnection::ReadEnd::Stopped:
+      return disposed;  // handle_frame already killed the connection
+    case FramedConnection::ReadEnd::BadFrame:
+      ++wire_stats_.decode_errors;
+      if (c.hello_done) ++nodes_[c.node].durable.decode_errors;
       kill_conn(c);
       return disposed;
-    }
-    if (r.would_block || r.n == 0) break;
+    case FramedConnection::ReadEnd::Closed:
+      kill_conn(c);
+      return disposed;
   }
 
-  if (c.dead) return disposed;
-
-  if (now_ms - c.last_rx_ms >= config_.peer_timeout_ms) {
-    // Silent peer or a torn frame trickling in forever (slow-loris): shed.
+  if (c.link.silent(now_ms, config_.peer_timeout_ms)) {
     ++wire_stats_.timeouts;
     kill_conn(c);
     return disposed;
   }
 
-  if (disposed > 0 && c.hello_done) {
+  if (disposed > 0) {  // rows are only disposed after a Hello
     AckFrame ack;
     ack.node = static_cast<std::uint32_t>(c.node);
-    ack.next_index = nodes_[c.node].watermark;
-    enqueue_frame(c, ack);
+    ack.next_index = nodes_[c.node].durable.watermark;
+    c.link.send(ack);
     ++wire_stats_.acks_sent;
-  } else if (c.outbuf_head >= c.outbuf.size() &&
-             now_ms - c.last_tx_ms >= config_.heartbeat_interval_ms) {
-    HeartbeatFrame hb;
-    hb.counter = ++c.heartbeat_counter;
-    enqueue_frame(c, hb);
   }
-  flush_conn(c, now_ms);
+  c.link.heartbeat_if_due(now_ms);
+  if (!c.link.flush(now_ms, wire_stats_.bytes_sent)) kill_conn(c);
   return disposed;
 }
 
@@ -269,9 +219,9 @@ std::size_t IngestServer::poll_once(double now_ms) {
   accept_pending(now_ms);
   std::map<int, std::size_t> rows_this_poll;
   std::size_t disposed = 0;
-  // Index loop: handle_frame may append to conns_ via... it does not, but
-  // accept happens before, so iterators stay valid; kill_conn of a peer
-  // connection only marks it dead.
+  // Nothing below adds to conns_ (accepting happens above) and kill_conn
+  // only marks a connection dead, so the references stay valid until
+  // reap_dead() erases the dead ones.
   for (std::size_t i = 0; i < conns_.size(); ++i) {
     Conn& c = *conns_[i];
     if (c.dead) continue;
@@ -288,10 +238,10 @@ bool IngestServer::wait(double timeout_ms) {
   if (lfd < 0) return false;
   fds.push_back(pollfd{lfd, POLLIN, 0});
   for (const auto& c : conns_) {
-    const int fd = c->conn ? c->conn->fd() : -1;
+    const int fd = c->link.fd();
     if (fd < 0) return false;  // mixed in-memory transport: caller paces
     short events = POLLIN;
-    if (c->outbuf_head < c->outbuf.size()) events |= POLLOUT;
+    if (c->link.output_pending()) events |= POLLOUT;
     fds.push_back(pollfd{fd, events, 0});
   }
   const int rc = ::poll(fds.data(), fds.size(),
@@ -309,8 +259,8 @@ IngestStats IngestServer::stats(int node) const {
   IngestStats s = ingestor_.stats(node);
   const auto it = nodes_.find(node);
   if (it != nodes_.end()) {
-    s.rejected_backpressure = it->second.rejected_backpressure;
-    s.decode_errors = it->second.decode_errors;
+    s.rejected_backpressure = it->second.durable.rejected_backpressure;
+    s.decode_errors = it->second.durable.decode_errors;
   }
   return s;
 }
@@ -318,29 +268,21 @@ IngestStats IngestServer::stats(int node) const {
 IngestStats IngestServer::total_stats() const {
   IngestStats s = ingestor_.total_stats();
   for (const auto& [node, nw] : nodes_) {
-    s.rejected_backpressure += nw.rejected_backpressure;
-    s.decode_errors += nw.decode_errors;
+    s.rejected_backpressure += nw.durable.rejected_backpressure;
+    s.decode_errors += nw.durable.decode_errors;
   }
   return s;
 }
 
 std::uint64_t IngestServer::watermark(int node) const {
   const auto it = nodes_.find(node);
-  return it == nodes_.end() ? 0 : it->second.watermark;
+  return it == nodes_.end() ? 0 : it->second.durable.watermark;
 }
 
 IngestServerSnapshot IngestServer::snapshot() const {
   IngestServerSnapshot snap;
   snap.nodes.reserve(nodes_.size());
-  for (const auto& [node, nw] : nodes_) {
-    IngestServerSnapshot::Node n;
-    n.node = node;
-    n.watermark = nw.watermark;
-    n.rows_pushed = nw.rows_pushed;
-    n.rejected_backpressure = nw.rejected_backpressure;
-    n.decode_errors = nw.decode_errors;
-    snap.nodes.push_back(n);
-  }
+  for (const auto& [node, nw] : nodes_) snap.nodes.push_back(nw.durable);
   return snap;
 }
 

@@ -33,6 +33,11 @@
 // the rx-idle timeout. A new Hello for a node supersedes that node's older
 // connection (the reconnecting client wins; the stale socket is closed).
 //
+// Each accepted peer is one FramedConnection (wire/transport), the same
+// framing, buffering and rx/tx clocks the client runs; a quiet peer gets
+// a Heartbeat every kWireHeartbeatIntervalMs so the client's own rx
+// timeout does not fire on an idle feed.
+//
 // Threading: none. poll_once(now_ms) drives everything from one thread on
 // an injected clock; wait() is an optional poll(2) sleep for fd-backed
 // transports so a real deployment doesn't spin.
@@ -60,9 +65,6 @@ struct IngestServerConfig {
   // A connection with no readable bytes for this long is dead (covers
   // silent peers and slow-loris torn frames alike).
   double peer_timeout_ms = 10000.0;
-  // Server->client heartbeat cadence while the ack stream is quiet, so the
-  // client's own rx timeout doesn't fire on an idle feed.
-  double heartbeat_interval_ms = 1000.0;
   // Deadline handed to the attached Diagnoser per window; 0 = never().
   double diagnose_deadline_ms = 0.0;
 };
@@ -162,36 +164,25 @@ class IngestServer {
 
  private:
   struct Conn {
-    std::unique_ptr<Connection> conn;
-    FrameDecoder decoder;
-    std::vector<std::uint8_t> outbuf;
-    std::size_t outbuf_head = 0;
+    FramedConnection link;
     bool hello_done = false;
     int node = 0;
-    double last_rx_ms = 0.0;
-    double last_tx_ms = 0.0;
-    std::uint64_t heartbeat_counter = 0;
     bool dead = false;
   };
 
   struct NodeWire {
-    std::uint64_t watermark = 0;
-    std::uint64_t rows_pushed = 0;
-    std::uint64_t rejected_backpressure = 0;
-    std::uint64_t decode_errors = 0;
+    IngestServerSnapshot::Node durable;  // what snapshot() carries over
     Conn* owner = nullptr;  // live connection serving this node, if any
   };
 
   void accept_pending(double now_ms);
   std::size_t service_conn(Conn& c, double now_ms,
                            std::map<int, std::size_t>& rows_this_poll);
-  bool handle_frame(Conn& c, const Frame& frame, double now_ms,
+  bool handle_frame(Conn& c, const Frame& frame,
                     std::map<int, std::size_t>& rows_this_poll,
                     std::size_t& disposed);
   void dispose_row(Conn& c, const RowFrame& row, NodeWire& nw,
                    std::size_t& budget_used);
-  void enqueue_frame(Conn& c, const Frame& frame);
-  void flush_conn(Conn& c, double now_ms);
   void kill_conn(Conn& c);
   void reap_dead();
 

@@ -1,6 +1,7 @@
 #include "wire/chaos.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <deque>
 #include <mutex>
@@ -22,24 +23,6 @@ struct ChaosState {
   std::uint64_t next_ordinal = 0;
   std::vector<class ChaosConnectionImpl*> live;
 };
-
-}  // namespace detail
-
-namespace {
-
-using detail::ChaosState;
-
-std::uint32_t peek_u32(const std::deque<std::uint8_t>& q, std::size_t at) {
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(q[at + i]) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
-
-namespace detail {
 
 class ChaosConnectionImpl : public Connection {
  public:
@@ -113,14 +96,15 @@ class ChaosConnectionImpl : public Connection {
       if (raw_.size() < kWireHeaderSize) return;
       // A frame is delimited by its own header; the client only writes
       // well-formed frames, so the length field is trustworthy here.
-      const std::size_t payload_len = peek_u32(raw_, 8);
-      const std::size_t frame_size = kWireHeaderSize + payload_len;
+      std::array<std::uint8_t, kWireHeaderSize> header{};
+      std::copy_n(raw_.begin(), kWireHeaderSize, header.begin());
+      const std::size_t frame_size =
+          kWireHeaderSize + frame_payload_len(header);
       if (raw_.size() < frame_size) return;
-      std::vector<std::uint8_t> frame(frame_size);
-      for (std::size_t i = 0; i < frame_size; ++i) {
-        frame[i] = raw_.front();
-        raw_.pop_front();
-      }
+      const auto frame_end =
+          raw_.begin() + static_cast<std::ptrdiff_t>(frame_size);
+      std::vector<std::uint8_t> frame(raw_.begin(), frame_end);
+      raw_.erase(raw_.begin(), frame_end);
       ++state_->stats.frames_seen;
       ++frames_this_connection_;
 

@@ -31,16 +31,13 @@ bool WireClient::offer(std::uint64_t seq, double timestamp,
 
 bool WireClient::idle() const noexcept {
   return state_ == State::Streaming && pending_.empty() &&
-         outbuf_head_ >= outbuf_.size();
+         !link_->output_pending();
 }
 
 void WireClient::disconnect() {
-  if (conn_) conn_->close();
-  conn_.reset();
+  if (link_) link_->close();
+  link_.reset();
   state_ = State::Disconnected;
-  decoder_ = FrameDecoder();
-  outbuf_.clear();
-  outbuf_head_ = 0;
   send_cursor_ = 0;  // everything unacked must be retransmitted
 }
 
@@ -55,8 +52,8 @@ void WireClient::lose_connection(double now_ms) {
 }
 
 void WireClient::try_connect(double now_ms) {
-  conn_ = connector_();
-  if (!conn_) {
+  std::unique_ptr<Connection> conn = connector_();
+  if (!conn) {
     ++stats_.connect_failures;
     ++attempt_;
     next_attempt_ms_ = now_ms + backoff_delay_ms(config_.reconnect, attempt_,
@@ -65,77 +62,12 @@ void WireClient::try_connect(double now_ms) {
   }
   ++stats_.connects;
   state_ = State::AwaitHelloAck;
-  decoder_ = FrameDecoder();
-  outbuf_.clear();
-  outbuf_head_ = 0;
-  last_rx_ms_ = now_ms;
-  last_tx_ms_ = now_ms;
+  link_.emplace(std::move(conn), now_ms);
   HelloFrame hello;
   hello.protocol = kWireVersion;
   hello.node = config_.node;
   hello.metric_count = config_.metric_count;
-  enqueue_frame(hello);
-}
-
-void WireClient::enqueue_frame(const Frame& frame) {
-  append_frame(outbuf_, frame);
-}
-
-void WireClient::flush(double now_ms) {
-  if (!conn_ || outbuf_head_ >= outbuf_.size()) return;
-  const std::span<const std::uint8_t> chunk{outbuf_.data() + outbuf_head_,
-                                            outbuf_.size() - outbuf_head_};
-  const IoResult w = conn_->write_some(chunk);
-  if (w.n > 0) {
-    outbuf_head_ += w.n;
-    stats_.bytes_sent += w.n;
-    last_tx_ms_ = now_ms;
-  }
-  if (w.error != 0) {
-    lose_connection(now_ms);
-    return;
-  }
-  if (outbuf_head_ >= outbuf_.size()) {
-    outbuf_.clear();
-    outbuf_head_ = 0;
-  } else if (outbuf_head_ > 4096 && outbuf_head_ * 2 > outbuf_.size()) {
-    outbuf_.erase(outbuf_.begin(),
-                  outbuf_.begin() + static_cast<std::ptrdiff_t>(outbuf_head_));
-    outbuf_head_ = 0;
-  }
-}
-
-void WireClient::drain_reads(double now_ms) {
-  if (!conn_) return;
-  std::uint8_t buf[4096];
-  while (conn_) {
-    const IoResult r = conn_->read_some(buf);
-    if (r.n > 0) {
-      stats_.bytes_received += r.n;
-      last_rx_ms_ = now_ms;
-      decoder_.feed({buf, r.n});
-      Frame frame;
-      while (true) {
-        const FrameDecoder::State s = decoder_.next(frame);
-        if (s == FrameDecoder::State::FrameReady) {
-          handle_frame(frame, now_ms);
-          if (!conn_) return;
-          continue;
-        }
-        if (s == FrameDecoder::State::Error) {
-          // A server speaking garbage is as dead as a closed socket.
-          lose_connection(now_ms);
-          return;
-        }
-        break;  // NeedMore
-      }
-    }
-    if (r.eof || r.error != 0) {
-      lose_connection(now_ms);
-      return;
-    }
-    if (r.would_block || r.n == 0) return;
-  }
+  link_->send(hello);
 }
 
 void WireClient::advance_ack(std::uint64_t next_index) {
@@ -150,32 +82,27 @@ void WireClient::advance_ack(std::uint64_t next_index) {
   send_cursor_ -= std::min(send_cursor_, popped);
 }
 
-void WireClient::handle_frame(const Frame& frame, double now_ms) {
+// False when the server broke the protocol: the caller drops the link.
+bool WireClient::handle_frame(const Frame& frame) {
   if (const auto* ack = std::get_if<HelloAckFrame>(&frame)) {
     if (state_ != State::AwaitHelloAck || ack->node != config_.node) {
-      lose_connection(now_ms);
-      return;
+      return false;
     }
     state_ = State::Streaming;
     attempt_ = 0;
     advance_ack(ack->resume_index);
     send_cursor_ = 0;  // retransmit every surviving unacked row
-    return;
+    return true;
   }
   if (const auto* ack = std::get_if<AckFrame>(&frame)) {
-    if (ack->node != config_.node) {
-      lose_connection(now_ms);
-      return;
-    }
+    if (ack->node != config_.node) return false;
     ++stats_.acks_received;
     advance_ack(ack->next_index);
-    return;
+    return true;
   }
-  if (std::holds_alternative<HeartbeatFrame>(frame)) {
-    return;  // rx timestamp already refreshed by the read
-  }
+  // A heartbeat only refreshes the rx clock, which the read already did;
   // Row/Hello from a server is a protocol violation.
-  lose_connection(now_ms);
+  return std::holds_alternative<HeartbeatFrame>(frame);
 }
 
 void WireClient::step(double now_ms) {
@@ -189,11 +116,14 @@ void WireClient::step(double now_ms) {
     if (state_ == State::Disconnected) return;
   }
 
-  drain_reads(now_ms);
-  if (!conn_) return;
-
-  if (now_ms - last_rx_ms_ >= config_.heartbeat_timeout_ms) {
-    lose_connection(now_ms);  // peer fell silent
+  // A server speaking garbage, closing, breaking the protocol or falling
+  // silent is dead either way.
+  const auto end = link_->read_frames(
+      now_ms, stats_.bytes_received,
+      [this](const Frame& frame) { return handle_frame(frame); });
+  if (end != FramedConnection::ReadEnd::Drained ||
+      link_->silent(now_ms, config_.heartbeat_timeout_ms)) {
+    lose_connection(now_ms);
     return;
   }
 
@@ -208,23 +138,17 @@ void WireClient::step(double now_ms) {
       wire_row.seq = row.seq;
       wire_row.timestamp = row.timestamp;
       wire_row.values = row.values;
-      enqueue_frame(wire_row);
+      link_->send(wire_row);
       ++row.sends;
       ++stats_.row_frames_sent;
       if (row.sends > 1) ++stats_.retransmits;
       ++send_cursor_;
       ++sent;
     }
-    if (sent == 0 && outbuf_head_ >= outbuf_.size() &&
-        now_ms - last_tx_ms_ >= config_.heartbeat_interval_ms) {
-      HeartbeatFrame hb;
-      hb.counter = ++heartbeat_counter_;
-      enqueue_frame(hb);
-      ++stats_.heartbeats_sent;
-    }
+    if (link_->heartbeat_if_due(now_ms)) ++stats_.heartbeats_sent;
   }
 
-  flush(now_ms);
+  if (!link_->flush(now_ms, stats_.bytes_sent)) lose_connection(now_ms);
 }
 
 }  // namespace alba

@@ -14,19 +14,24 @@
 //     server's watermark survives connection churn and — via
 //     IngestServer::snapshot() — a server restart, so nothing acked is
 //     ever re-sent and nothing unacked is ever lost silently;
-//   * heartbeats flow when the feed is quiet; silence past
-//     heartbeat_timeout_ms is treated as a dead peer and triggers a
-//     reconnect with seeded exponential backoff (common/backoff).
+//   * a heartbeat goes out after kWireHeartbeatIntervalMs with nothing
+//     else to send; silence from the server past heartbeat_timeout_ms is
+//     treated as a dead peer and triggers a reconnect with seeded
+//     exponential backoff (common/backoff).
 //
-// The client is a poll-driven state machine, not a thread: step(now_ms)
-// advances it — flushes pending bytes, drains acks, detects timeouts,
-// reconnects when due. Time is a parameter, so tests and chaos scenarios
-// drive it on a simulated clock while production callers pass
-// steady-clock milliseconds. Not thread-safe; one owner steps it.
+// The bytes move through a FramedConnection (wire/transport), the same
+// framing, buffering and clocks the server runs per peer; the client adds
+// the delivery protocol on top. It is a poll-driven state machine, not a
+// thread: step(now_ms) advances it — drains acks, detects timeouts, sends
+// rows, flushes pending bytes, reconnects when due. Time is a parameter,
+// so tests and chaos scenarios drive it on a simulated clock while
+// production callers pass steady-clock milliseconds. Not thread-safe; one
+// owner steps it.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -40,8 +45,7 @@ namespace alba {
 struct WireClientConfig {
   std::uint32_t node = 0;
   std::uint32_t metric_count = 0;      // validated by the server's Hello check
-  double heartbeat_interval_ms = 1000.0;
-  double heartbeat_timeout_ms = 5000.0;
+  double heartbeat_timeout_ms = 5000.0;  // server silence before reconnect
   BackoffConfig reconnect;             // delays between connect attempts
   std::size_t max_inflight_rows = 4096;  // offer() refuses past this
   std::size_t max_rows_per_step = 256;   // send pacing per step()
@@ -101,10 +105,7 @@ class WireClient {
     std::uint32_t sends = 0;
   };
 
-  void enqueue_frame(const Frame& frame);
-  void flush(double now_ms);
-  void drain_reads(double now_ms);
-  void handle_frame(const Frame& frame, double now_ms);
+  bool handle_frame(const Frame& frame);
   void advance_ack(std::uint64_t next_index);
   void lose_connection(double now_ms);
   void try_connect(double now_ms);
@@ -113,10 +114,7 @@ class WireClient {
   WireClientConfig config_;
   Rng backoff_rng_;
   State state_ = State::Disconnected;
-  std::unique_ptr<Connection> conn_;
-  FrameDecoder decoder_;
-  std::vector<std::uint8_t> outbuf_;
-  std::size_t outbuf_head_ = 0;
+  std::optional<FramedConnection> link_;  // engaged unless Disconnected
 
   std::deque<PendingRow> pending_;   // unacked rows, index order
   std::uint64_t next_assign_ = 0;    // next wire index offer() hands out
@@ -125,9 +123,6 @@ class WireClient {
 
   int attempt_ = 0;                  // consecutive failed connects
   double next_attempt_ms_ = 0.0;
-  double last_rx_ms_ = 0.0;
-  double last_tx_ms_ = 0.0;
-  std::uint64_t heartbeat_counter_ = 0;
   bool started_ = false;
 
   WireClientStats stats_;

@@ -248,6 +248,10 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   return out;
 }
 
+std::uint32_t frame_payload_len(std::span<const std::uint8_t> header) noexcept {
+  return get_u32(header.data() + 8);
+}
+
 void FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
   if (failed()) return;
   // Compact once the consumed prefix dominates the buffer.
@@ -267,7 +271,7 @@ FrameDecoder::State FrameDecoder::next(Frame& out) {
 
   if (get_u32(header) != kWireMagic) return fail(DecodeError::BadMagic);
   if (header[4] != kWireVersion) return fail(DecodeError::BadVersion);
-  const std::uint32_t payload_len = get_u32(header + 8);
+  const std::uint32_t payload_len = frame_payload_len({header, avail});
   if (payload_len > max_payload_) return fail(DecodeError::Oversized);
   if (avail < kWireHeaderSize + payload_len) return State::NeedMore;
 

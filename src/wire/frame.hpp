@@ -50,6 +50,9 @@ namespace alba {
 
 inline constexpr std::uint32_t kWireMagic = 0x57424C41u;  // "ALBW"
 inline constexpr std::uint8_t kWireVersion = 1;
+/// A connection end with nothing to send for this long sends a Heartbeat,
+/// so the peer's rx timeout (set well above it) only fires on a dead link.
+inline constexpr double kWireHeartbeatIntervalMs = 1000.0;
 inline constexpr std::size_t kWireHeaderSize = 16;
 /// Default payload bound: a row of ~128k metrics. Anything larger is a
 /// corrupt length field or a hostile peer.
@@ -102,6 +105,10 @@ FrameType frame_type(const Frame& frame) noexcept;
 void append_frame(std::vector<std::uint8_t>& out, const Frame& frame);
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
+
+/// The payload_len field of a frame header; `header` holds at least
+/// kWireHeaderSize bytes. The header is not validated.
+std::uint32_t frame_payload_len(std::span<const std::uint8_t> header) noexcept;
 
 /// Every way a byte stream can fail to parse as frames. Each is a typed
 /// per-connection error — the connection is closed and counted, the

@@ -1,6 +1,7 @@
 #include "wire/transport.hpp"
 
 #include <cerrno>
+#include <csignal>
 #include <cstring>
 #include <deque>
 #include <mutex>
@@ -15,7 +16,6 @@
 #include <unistd.h>
 
 #include "common/error.hpp"
-#include "common/net_io.hpp"
 
 namespace alba {
 
@@ -31,6 +31,23 @@ constexpr int kSendFlags = MSG_NOSIGNAL;
 #else
 constexpr int kSendFlags = 0;
 #endif
+
+// Idempotently ignores SIGPIPE process-wide unless the process installed
+// its own handler, which is left alone. Sends already pass MSG_NOSIGNAL
+// where it exists; this covers platforms without it, so a peer hanging up
+// mid-write surfaces as EPIPE instead of killing the process.
+void suppress_sigpipe() noexcept {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    struct sigaction current {};
+    if (::sigaction(SIGPIPE, nullptr, &current) == 0 &&
+        current.sa_handler == SIG_DFL) {
+      struct sigaction ignore {};
+      ignore.sa_handler = SIG_IGN;
+      ::sigaction(SIGPIPE, &ignore, nullptr);
+    }
+  });
+}
 
 class TcpConnection : public Connection {
  public:
@@ -190,6 +207,46 @@ std::unique_ptr<Connection> tcp_connect(const std::string& host,
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   return std::make_unique<TcpConnection>(fd);
+}
+
+// ------------------------------------------------------ framed streams ---
+
+FramedConnection::FramedConnection(std::unique_ptr<Connection> conn,
+                                   double now_ms)
+    : conn_(std::move(conn)), last_rx_ms_(now_ms), last_tx_ms_(now_ms) {
+  ALBA_CHECK(conn_ != nullptr) << "framed connection needs a connection";
+}
+
+bool FramedConnection::flush(double now_ms, std::uint64_t& bytes_sent) {
+  if (!output_pending()) return true;
+  const IoResult w = conn_->write_some(
+      {outbuf_.data() + outbuf_head_, outbuf_.size() - outbuf_head_});
+  if (w.n > 0) {
+    outbuf_head_ += w.n;
+    bytes_sent += w.n;
+    last_tx_ms_ = now_ms;
+  }
+  if (w.error != 0) return false;
+  if (!output_pending()) {
+    outbuf_.clear();
+    outbuf_head_ = 0;
+  } else if (outbuf_head_ > 4096 && outbuf_head_ * 2 > outbuf_.size()) {
+    // Compact once the written prefix dominates the buffer.
+    outbuf_.erase(outbuf_.begin(),
+                  outbuf_.begin() + static_cast<std::ptrdiff_t>(outbuf_head_));
+    outbuf_head_ = 0;
+  }
+  return true;
+}
+
+bool FramedConnection::heartbeat_if_due(double now_ms) {
+  if (output_pending() || now_ms - last_tx_ms_ < kWireHeartbeatIntervalMs) {
+    return false;
+  }
+  HeartbeatFrame hb;
+  hb.counter = ++heartbeat_counter_;
+  send(hb);
+  return true;
 }
 
 // ------------------------------------------------------- loopback pipes ---

@@ -16,6 +16,9 @@
 // Both ends of either transport are safe to use from one thread at a time
 // per end (the loopback hub itself is internally locked so the two ends
 // may live on different threads).
+//
+// FramedConnection turns either transport into a stream of wire frames;
+// it is the only reader and writer of a connection in the protocol ends.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +26,10 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "wire/frame.hpp"
 
 namespace alba {
 
@@ -68,6 +75,88 @@ class Listener {
 /// client backs off and retries). WireChaos wraps one of these to inject
 /// faults between client and transport.
 using Connector = std::function<std::unique_ptr<Connection>()>;
+
+// ------------------------------------------------------ framed streams ---
+
+/// A frame stream over one Connection: the per-peer state WireClient and
+/// IngestServer both keep. It owns the incremental decoder, the outbound
+/// frame buffer with its partial-flush bookkeeping, the rx/tx clocks that
+/// drive heartbeats and dead-peer detection, and the heartbeat counter.
+/// Time is the caller's (`now_ms`, monotonic across calls). Byte counts go
+/// to caller-owned counters, so an end can total them over every
+/// connection it has had.
+class FramedConnection {
+ public:
+  /// Starts both clocks at `now_ms`.
+  FramedConnection(std::unique_ptr<Connection> conn, double now_ms);
+
+  /// Queues one frame; its bytes leave on a later flush().
+  void send(const Frame& frame) { append_frame(outbuf_, frame); }
+
+  /// Writes as much queued output as the transport takes. False when the
+  /// transport failed: the connection is dead.
+  bool flush(double now_ms, std::uint64_t& bytes_sent);
+
+  enum class ReadEnd {
+    Drained,   // the transport would block; the connection lives on
+    Stopped,   // on_frame returned false
+    Closed,    // the peer closed its end or the transport failed
+    BadFrame,  // the decoder failed: the stream is poisoned
+  };
+
+  /// Reads until the transport would block, handing each decoded frame to
+  /// `on_frame(const Frame&) -> bool` in arrival order; false stops the
+  /// read. Every end but Drained means the caller drops the connection.
+  template <class OnFrame>
+  ReadEnd read_frames(double now_ms, std::uint64_t& bytes_received,
+                      OnFrame&& on_frame);
+
+  /// Queues a heartbeat when no output is pending and nothing has been
+  /// written for kWireHeartbeatIntervalMs. True when one was queued.
+  bool heartbeat_if_due(double now_ms);
+
+  /// Nothing arrived for `timeout_ms`: a silent peer, or a torn frame
+  /// trickling in forever (slow-loris).
+  bool silent(double now_ms, double timeout_ms) const noexcept {
+    return now_ms - last_rx_ms_ >= timeout_ms;
+  }
+
+  bool output_pending() const noexcept { return outbuf_head_ < outbuf_.size(); }
+  int fd() const { return conn_->fd(); }
+  void close() { conn_->close(); }
+
+ private:
+  std::unique_ptr<Connection> conn_;
+  FrameDecoder decoder_;
+  std::vector<std::uint8_t> outbuf_;
+  std::size_t outbuf_head_ = 0;  // bytes of outbuf_ already written
+  double last_rx_ms_ = 0.0;
+  double last_tx_ms_ = 0.0;
+  std::uint64_t heartbeat_counter_ = 0;
+};
+
+template <class OnFrame>
+FramedConnection::ReadEnd FramedConnection::read_frames(
+    double now_ms, std::uint64_t& bytes_received, OnFrame&& on_frame) {
+  std::uint8_t buf[4096];
+  Frame frame;
+  while (true) {
+    const IoResult r = conn_->read_some(buf);
+    if (r.n > 0) {
+      bytes_received += r.n;
+      last_rx_ms_ = now_ms;
+      decoder_.feed({buf, r.n});
+      while (true) {
+        const FrameDecoder::State s = decoder_.next(frame);
+        if (s == FrameDecoder::State::NeedMore) break;
+        if (s == FrameDecoder::State::Error) return ReadEnd::BadFrame;
+        if (!on_frame(std::as_const(frame))) return ReadEnd::Stopped;
+      }
+    }
+    if (r.eof || r.error != 0) return ReadEnd::Closed;
+    if (r.would_block || r.n == 0) return ReadEnd::Drained;
+  }
+}
 
 // ------------------------------------------------------------------ TCP ---
 

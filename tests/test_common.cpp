@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -14,16 +13,12 @@
 #include <string_view>
 #include <vector>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "common/backoff.hpp"
 #include "common/cli.hpp"
 #include "common/crc32.hpp"
 #include "common/csv.hpp"
 #include "common/deadline.hpp"
 #include "common/error.hpp"
-#include "common/net_io.hpp"
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
@@ -693,67 +688,6 @@ TEST(Crc32, SingleBitFlipChangesChecksum) {
       EXPECT_NE(crc32(flipped), ref) << "byte " << byte << " bit " << bit;
     }
   }
-}
-
-// --------------------------------------------------------------- net_io ---
-
-TEST(NetIo, PipeRoundTripFullBuffers) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  const std::string msg = "exactly this many bytes cross the pipe";
-  const IoOutcome w = write_full(fds[1], msg.data(), msg.size());
-  EXPECT_TRUE(w.complete(msg.size()));
-  EXPECT_EQ(w.error, 0);
-
-  std::string got(msg.size(), '\0');
-  const IoOutcome r = read_full(fds[0], got.data(), got.size());
-  EXPECT_TRUE(r.complete(msg.size()));
-  EXPECT_FALSE(r.eof);
-  EXPECT_EQ(got, msg);
-  ::close(fds[0]);
-  ::close(fds[1]);
-}
-
-TEST(NetIo, ReadFullReportsEofWithPartialBytes) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  const std::string msg = "short";
-  ASSERT_TRUE(write_full(fds[1], msg.data(), msg.size()).complete(msg.size()));
-  ::close(fds[1]);  // writer gone: the next read past 5 bytes sees EOF
-
-  char buf[64];
-  const IoOutcome r = read_full(fds[0], buf, sizeof buf);
-  EXPECT_EQ(r.bytes, msg.size());
-  EXPECT_TRUE(r.eof);
-  EXPECT_FALSE(r.complete(sizeof buf));
-  ::close(fds[0]);
-}
-
-TEST(NetIo, WriteToClosedReaderIsEpipeNotDeath) {
-  suppress_sigpipe();
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  ::close(fds[0]);  // reader gone
-  const std::string msg = "nobody listens";
-  const IoOutcome w = write_full(fds[1], msg.data(), msg.size());
-  // The whole point of suppress_sigpipe: the process is alive to see EPIPE.
-  EXPECT_EQ(w.error, EPIPE);
-  EXPECT_FALSE(w.complete(msg.size()));
-  ::close(fds[1]);
-}
-
-TEST(NetIo, NonblockingReadReportsWouldBlock) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  ASSERT_EQ(::fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
-  char buf[8];
-  const IoOutcome r = read_full(fds[0], buf, sizeof buf);
-  EXPECT_EQ(r.bytes, 0u);
-  EXPECT_TRUE(r.would_block);
-  EXPECT_FALSE(r.eof);
-  EXPECT_EQ(r.error, 0);
-  ::close(fds[0]);
-  ::close(fds[1]);
 }
 
 }  // namespace

@@ -4,14 +4,18 @@
 // extraction (bit-identical to the strict path on clean data), degenerate
 // column handling in chi-square selection, the ActiveLearner's pool
 // validation, and the end-to-end degraded pipeline with its
-// DataQualityReport.
+// DataQualityReport and that report's CSV row.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <limits>
 
 #include "active/learner.hpp"
+#include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/temp_dir.hpp"
+#include "core/data_quality.hpp"
 #include "core/pipeline.hpp"
 #include "features/extractor.hpp"
 #include "ml/random_forest.hpp"
@@ -583,6 +587,33 @@ TEST(DegradedPipeline, DisabledFaultsReportAllZero) {
   EXPECT_EQ(data.quality.metrics_quarantined, 0u);
   EXPECT_EQ(data.quality.cells_interpolated, 0u);
   EXPECT_EQ(data.quality.feature_failures, 0u);
+}
+
+// Sweep labels are free-form text; an embedded comma or quote must be
+// RFC-4180-quoted so the row parses back column-true.
+TEST(DataQualityCsv, LabelWithCommaSurvivesParseBack) {
+  DataQualityReport q;
+  q.faults.metric_dropouts = 3;
+  q.cells_interpolated = 240;
+  q.columns_dropped = 41;
+  const std::string tricky = "intensity=0.5,\"robust\"";
+
+  const ScopedTempDir dir;
+  const std::string path = dir.file("data_quality.csv");
+  {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good());
+    out << data_quality_csv_header() << '\n'
+        << data_quality_csv_row(tricky, q) << '\n';
+  }
+  const CsvTable table = read_csv(path);  // throws on ragged rows
+
+  ASSERT_EQ(table.rows.size(), 1u);
+  EXPECT_EQ(table.rows[0].size(), table.header.size());
+  EXPECT_EQ(table.rows[0][table.column_index("label")], tricky);
+  EXPECT_EQ(table.rows[0][table.column_index("metric_dropouts")], "3");
+  EXPECT_EQ(table.rows[0][table.column_index("cells_interpolated")], "240");
+  EXPECT_EQ(table.rows[0][table.column_index("columns_dropped")], "41");
 }
 
 }  // namespace

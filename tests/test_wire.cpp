@@ -3,12 +3,14 @@
 // client/server delivery contract over the deterministic loopback
 // transport (reconnect/resume, duplicates, backpressure sheds, superseded
 // connections, server restart from snapshot), typed decode-error handling,
-// the ingest-stats CSV parse-back, and real TCP end-to-end (single-thread
-// and threaded).
+// the ingest-stats CSV parse-back, the TCP transport's byte-level results
+// (round trip, eof, a write to a closed peer, an empty non-blocking read),
+// and real TCP end-to-end (single-thread and threaded).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -733,6 +735,112 @@ TEST(IngestStatsCsv, RoundTripsThroughRfc4180Parser) {
 }
 
 // ------------------------------------------------------------------ TCP ---
+
+// A connected loopback socket pair. tcp_connect returns once the
+// handshake is done, but the accept may still be queued: retry briefly.
+struct TcpPair {
+  std::unique_ptr<TcpListener> listener = TcpListener::bind_loopback();
+  std::unique_ptr<Connection> client = tcp_connect("127.0.0.1",
+                                                   listener->port());
+  std::unique_ptr<Connection> server = accept_soon(*listener);
+
+  static std::unique_ptr<Connection> accept_soon(Listener& l) {
+    for (int i = 0; i < 5000; ++i) {
+      if (auto conn = l.accept_one()) return conn;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return nullptr;
+  }
+};
+
+// Reads from `conn` until a read does more than would-block (polling
+// 1 ms apart for up to 5 s), appending the bytes to `got`.
+IoResult read_settled(Connection& conn, std::vector<std::uint8_t>& got) {
+  std::uint8_t buf[256];
+  IoResult r;
+  for (int i = 0; i < 5000; ++i) {
+    r = conn.read_some(buf);
+    got.insert(got.end(), buf, buf + r.n);
+    if (!r.would_block) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return r;
+}
+
+std::vector<std::uint8_t> read_n(Connection& conn, std::size_t n) {
+  std::vector<std::uint8_t> got;
+  while (got.size() < n && read_settled(conn, got).n > 0) {
+  }
+  return got;
+}
+
+TEST(TcpTransport, RoundTripsBytesBothWays) {
+  TcpPair tcp;
+  ASSERT_NE(tcp.client, nullptr);
+  ASSERT_NE(tcp.server, nullptr);
+  const std::string msg = "exactly this many bytes cross the socket";
+  const std::vector<std::uint8_t> bytes(msg.begin(), msg.end());
+
+  const IoResult w = tcp.client->write_some(bytes);
+  EXPECT_EQ(w.n, bytes.size());
+  EXPECT_TRUE(w.ok());
+  EXPECT_EQ(read_n(*tcp.server, bytes.size()), bytes);
+
+  ASSERT_EQ(tcp.server->write_some(bytes).n, bytes.size());
+  EXPECT_EQ(read_n(*tcp.client, bytes.size()), bytes);
+}
+
+TEST(TcpTransport, ReadReportsEofAfterPeerCloses) {
+  TcpPair tcp;
+  ASSERT_NE(tcp.client, nullptr);
+  ASSERT_NE(tcp.server, nullptr);
+  const std::vector<std::uint8_t> bytes = {'s', 'h', 'o', 'r', 't'};
+  ASSERT_EQ(tcp.client->write_some(bytes).n, bytes.size());
+  tcp.client->close();  // the bytes already sent still arrive, then eof
+
+  std::vector<std::uint8_t> got = read_n(*tcp.server, bytes.size());
+  EXPECT_EQ(got, bytes);
+  const IoResult end = read_settled(*tcp.server, got);
+  EXPECT_TRUE(end.eof);
+  EXPECT_EQ(end.n, 0u);
+  EXPECT_EQ(end.error, 0);
+  EXPECT_EQ(got, bytes);
+}
+
+TEST(TcpTransport, WriteToClosedPeerIsAnErrorNotSigpipe) {
+  TcpPair tcp;
+  ASSERT_NE(tcp.client, nullptr);
+  ASSERT_NE(tcp.server, nullptr);
+  tcp.server->close();
+  // The first write can land in the kernel buffer before the peer's
+  // reset comes back; keep writing until the transport sees the hangup.
+  const std::vector<std::uint8_t> bytes(1024, 0x5a);
+  IoResult w;
+  for (int i = 0; i < 5000 && w.error == 0; ++i) {
+    w = tcp.client->write_some(bytes);
+    if (w.error == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  // Getting here at all means the write did not raise a fatal SIGPIPE.
+  EXPECT_TRUE(w.error == EPIPE || w.error == ECONNRESET)
+      << "errno " << w.error;
+  EXPECT_FALSE(w.ok());
+}
+
+TEST(TcpTransport, EmptyNonblockingReadWouldBlock) {
+  TcpPair tcp;
+  ASSERT_NE(tcp.client, nullptr);
+  ASSERT_NE(tcp.server, nullptr);
+  for (Connection* end : {tcp.client.get(), tcp.server.get()}) {
+    std::uint8_t buf[8];
+    const IoResult r = end->read_some(buf);
+    EXPECT_EQ(r.n, 0u);
+    EXPECT_TRUE(r.would_block);
+    EXPECT_FALSE(r.eof);
+    EXPECT_EQ(r.error, 0);
+  }
+}
 
 TEST(IngestServerTcp, SingleThreadNonblockingEndToEnd) {
   MetricRegistry registry = test_registry();
