@@ -5,8 +5,8 @@
 // the learner's index-view path. A custom main also runs one small
 // synthetic AL loop and dumps its per-round phase timings as CSV, then a
 // train-time sweep of the exact vs histogram split finders (Exact vs Hist ×
-// n_samples × n_features for RF and GBM) emitted as BENCH_ml_train.json,
-// with a hist-vs-exact macro-F1 parity gate. `--smoke` runs only a scaled-
+// n_samples × n_features for RF and GBM, plus the AL refit shape) emitted
+// as BENCH_ml_train.json, with a hist-vs-exact macro-F1 parity gate. `--smoke` runs only a scaled-
 // down sweep + parity gate, the CI entry point.
 #include <benchmark/benchmark.h>
 
@@ -297,6 +297,18 @@ bool run_train_sweep(bool smoke, const char* json_path) {
   gbm_cfg.n_estimators = 5;
   gbm_cfg.num_leaves = 31;
 
+  // Prints one Exact/Hist pair; returns Hist's speedup over Exact.
+  const auto print_pair = [](const SweepEntry& exact, const SweepEntry& hist) {
+    const double speedup =
+        hist.train_s > 0.0 ? exact.train_s / hist.train_s : 0.0;
+    std::printf(
+        "train sweep %-5s %5zux%-5zu exact %8.3fs f1 %.3f | hist %8.3fs "
+        "f1 %.3f | speedup %.2fx\n",
+        exact.model.c_str(), exact.n, exact.f, exact.train_s, exact.f1,
+        hist.train_s, hist.f1, speedup);
+    return speedup;
+  };
+
   std::vector<SweepEntry> entries;
   bool ok = true;
   for (const Shape& shape : shapes) {
@@ -315,13 +327,7 @@ bool run_train_sweep(bool smoke, const char* json_path) {
                                          test)
                 : run_cell<GbmClassifier>("lgbm", gbm_cfg, SplitAlgo::Hist,
                                           train, test);
-      const double speedup =
-          hist.train_s > 0.0 ? exact.train_s / hist.train_s : 0.0;
-      std::printf(
-          "train sweep %-5s %5zux%-5zu exact %8.3fs f1 %.3f | hist %8.3fs "
-          "f1 %.3f | speedup %.2fx\n",
-          model, shape.n, shape.f, exact.train_s, exact.f1, hist.train_s,
-          hist.f1, speedup);
+      const double speedup = print_pair(exact, hist);
       if (std::abs(exact.f1 - hist.f1) > 0.02) {
         std::fprintf(stderr,
                      "PARITY FAIL: %s %zux%zu hist f1 %.4f vs exact %.4f "
@@ -338,6 +344,25 @@ bool run_train_sweep(bool smoke, const char* json_path) {
       entries.push_back(exact);
       entries.push_back(hist);
     }
+  }
+
+  // The AL refit shape: the Table IV Eclipse RF (200 trees, entropy,
+  // depth 8) on the ~80 labelled rows × 500 features a query round refits.
+  // Reported, not gated: 80 rows give too few test rows for the parity
+  // gate, and the speed claim for this shape is the e2ebench al-eclipse
+  // workload's.
+  if (!smoke) {
+    const Synth train = make_synth(80, 500, 6, 23);
+    const Synth test = make_synth(40, 500, 6, 24);
+    ForestConfig al_cfg = rf_cfg;
+    al_cfg.n_estimators = 200;
+    const SweepEntry exact = run_cell<RandomForest>(
+        "rf-al", al_cfg, SplitAlgo::Exact, train, test);
+    const SweepEntry hist = run_cell<RandomForest>(
+        "rf-al", al_cfg, SplitAlgo::Hist, train, test);
+    print_pair(exact, hist);
+    entries.push_back(exact);
+    entries.push_back(hist);
   }
 
   std::ofstream os(json_path);

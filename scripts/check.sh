@@ -38,10 +38,11 @@
 #     (the fault-injection paths shuffle NaNs and truncated buffers around,
 #     exactly where silent out-of-bounds reads would hide);
 # 12. ThreadSanitizer build of the concurrency-sensitive tests (thread
-#     pool, tree training incl. the shared BinnedMatrix, active-learning
-#     loop, the feature extractors on a pool, the diagnosis service, its
-#     overload-safe host, streaming and wire) to catch races in the
-#     parallel training/extraction/scoring/serving paths.
+#     pool, tree training incl. the shared BinnedMatrix/ExactRanks,
+#     active-learning loop, the feature extractors on a pool, the
+#     diagnosis service, its overload-safe host, streaming and wire) to
+#     catch races in the parallel training/extraction/scoring/serving
+#     paths.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

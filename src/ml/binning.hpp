@@ -60,11 +60,60 @@ inline bool split_routes_right(double v, double threshold) noexcept {
           static_cast<int>(std::isfinite(v))) != 0;
 }
 
-/// Split-finding algorithm for the tree models. `Exact` (the default) sorts
-/// raw feature values at every node and is the reference implementation;
-/// `Hist` quantizes features once and scans bin histograms — near-identical
-/// accuracy at a fraction of the training cost on wide matrices.
+/// Split-finding algorithm for the tree models. `Exact` (the default) scores
+/// every boundary between distinct raw values and is the reference
+/// implementation: decision trees and forests scan lossless per-fit rank
+/// codes (`ExactRanks`), gradient boosting sorts raw values per node.
+/// `Hist` quantizes features once into at most 255 bins and scans bin
+/// histograms — near-identical accuracy, cheaper on large wide matrices.
 enum class SplitAlgo { Exact, Hist };
+
+/// Lossless rank coding for the exact tree split finder. Each column's
+/// values are replaced by their rank among the column's distinct values
+/// under `exact_value_less`; rank 0 is the non-finite class when the column
+/// has one. Counting a node's rows per rank gives the same value groups, in
+/// the same order, as sorting the node's raw values, so the splitter scans
+/// integer counts without sorting at any node. Built once per `fit`
+/// (columns ranked in parallel on the global pool) and shared read-only
+/// across trees, like BinnedMatrix; it never outlives training.
+class ExactRanks {
+ public:
+  ExactRanks() noexcept = default;
+  explicit ExactRanks(const Matrix& x);
+
+  std::size_t rows() const noexcept { return rows_; }
+  std::size_t cols() const noexcept { return cols_; }
+
+  /// Rank codes of feature `f` for all rows (column-major, like
+  /// BinnedMatrix::column).
+  const std::uint32_t* column(std::size_t f) const noexcept {
+    ALBA_DCHECK(f < cols_);
+    return codes_.data() + f * rows_;
+  }
+
+  /// Distinct values (ranks) of feature `f`; 1 means a constant column.
+  std::size_t num_ranks(std::size_t f) const noexcept {
+    return keys_[f].size();
+  }
+
+  /// Largest num_ranks over all columns: the code range a scan must cover.
+  std::size_t max_ranks() const noexcept { return max_ranks_; }
+
+  /// A value of rank `rank` in feature `f` (NaN for the non-finite class).
+  /// Every value of one rank gives the same `exact_cut_threshold` against
+  /// any other rank's value, so any representative serves.
+  double key(std::size_t f, std::size_t rank) const noexcept {
+    ALBA_DCHECK(rank < keys_[f].size());
+    return keys_[f][rank];
+  }
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::size_t max_ranks_ = 0;
+  std::vector<std::uint32_t> codes_;       // column-major, cols_ × rows_
+  std::vector<std::vector<double>> keys_;  // per feature: value of each rank
+};
 
 class BinnedMatrix {
  public:

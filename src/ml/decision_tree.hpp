@@ -1,5 +1,6 @@
-// CART decision-tree classifier with two split finders: the exact
-// single-threaded splitter (sorts raw values at every node) and a
+// CART decision-tree classifier with two split finders: the exact one
+// (scores every boundary between distinct raw values, counting the node's
+// rows per `ExactRanks` code built once per fit — no per-node sort) and a
 // histogram-based one (`SplitAlgo::Hist`) that scans quantized bin
 // histograms — see ml/binning.hpp. Per-node feature subsampling is the
 // randomness source of the forest; gini or entropy impurity (both appear
@@ -39,13 +40,14 @@ class DecisionTree final : public Classifier {
   void fit_on(const Matrix& x, std::span<const int> y,
               std::vector<std::size_t> indices);
 
-  /// Like fit_on but reuses a caller-built binned view of `x` when the
-  /// config selects `SplitAlgo::Hist` — the forest and the boosting loop
-  /// quantize once and share the result across all trees. `binned` may be
-  /// null (the tree quantizes for itself); it is ignored in Exact mode and
-  /// never retained past the call.
+  /// Like fit_on but reuses a caller-built coding of `x`: `binned` when the
+  /// config selects `SplitAlgo::Hist`, `ranks` when it selects `Exact` — the
+  /// forest codes its training matrix once and shares it across all trees.
+  /// Either may be null (the tree codes `x` for itself); the one the config
+  /// does not select is ignored, and neither is retained past the call.
   void fit_on(const Matrix& x, std::span<const int> y,
-              std::vector<std::size_t> indices, const BinnedMatrix* binned);
+              std::vector<std::size_t> indices, const BinnedMatrix* binned,
+              const ExactRanks* ranks);
 
   Matrix predict_proba(const Matrix& x) const override;
   Matrix predict_proba_reference(const Matrix& x) const override;
@@ -96,13 +98,16 @@ class DecisionTree final : public Classifier {
   void restore(std::vector<Node> nodes, std::vector<double> leaf_probs);
 
  private:
-  int build_node(const Matrix& x, std::span<const int> y,
-                 std::vector<std::size_t>& indices, std::size_t begin,
-                 std::size_t end, int depth, Rng& rng);
+  struct SplitScratch;  // per-fit buffers, reused by every node
+
+  int build_node(const Matrix& x, const ExactRanks& ranks,
+                 std::span<const int> y, std::vector<std::size_t>& indices,
+                 std::size_t begin, std::size_t end, int depth, Rng& rng,
+                 SplitScratch& scratch);
   int build_node_hist(const BinnedMatrix& binned, std::span<const int> y,
                       std::vector<std::size_t>& indices, std::size_t begin,
                       std::size_t end, int depth, Rng& rng,
-                      std::vector<double>&& node_hist);
+                      SplitScratch& scratch, std::vector<double>&& node_hist);
   int make_leaf(std::span<const int> y,
                 std::span<const std::size_t> indices);
 

@@ -40,13 +40,13 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y) {
     trees_.emplace_back(tree_config, tree_seeds[i]);
   }
 
-  // Hist mode: quantize the training matrix once and share the read-only
-  // binned view across every tree (each tree's split search stays
-  // single-threaded, so per-tree determinism is schedule-independent).
-  const BinnedMatrix binned_storage =
-      config_.split_algo == SplitAlgo::Hist ? BinnedMatrix(x) : BinnedMatrix();
-  const BinnedMatrix* binned =
-      config_.split_algo == SplitAlgo::Hist ? &binned_storage : nullptr;
+  // Code the training matrix once — bins in Hist mode, exact ranks in
+  // Exact mode — and share the read-only coding across every tree (each
+  // tree's split search stays single-threaded, so per-tree determinism is
+  // schedule-independent).
+  const bool hist = config_.split_algo == SplitAlgo::Hist;
+  const BinnedMatrix binned = hist ? BinnedMatrix(x) : BinnedMatrix();
+  const ExactRanks ranks = hist ? ExactRanks() : ExactRanks(x);
 
   parallel_for(t, [&](std::size_t i) {
     Rng rng(tree_seeds[i] ^ 0xB0075742ULL);
@@ -57,7 +57,7 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y) {
       idx.resize(x.rows());
       std::iota(idx.begin(), idx.end(), std::size_t{0});
     }
-    trees_[i].fit_on(x, y, std::move(idx), binned);
+    trees_[i].fit_on(x, y, std::move(idx), &binned, &ranks);
   });
   recompile();
 }

@@ -2,7 +2,12 @@
 // the LightGBM-style gradient boosting classifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <limits>
+#include <numeric>
+#include <string>
 
 #include "common/rng.hpp"
 #include "ml/decision_tree.hpp"
@@ -547,6 +552,353 @@ TEST(FeatureImportances, RejectsTooFewFeatures) {
   EXPECT_THROW(tree.feature_importances(1), Error);
   DecisionTree unfitted(tc, 1);
   EXPECT_THROW(unfitted.feature_importances(2), Error);
+}
+
+// ---------------------------------------------------- exact-split oracle ---
+
+// The exact splitter as it stood before rank codes, kept here as the
+// reference the rank-code splitter must match node for node: every node
+// draws its features with Rng::sample_without_replacement, then copies and
+// sorts (value, label) pairs per candidate feature and scans the sorted
+// order, calling log2 directly at every candidate cut.
+class SortingSplitter {
+ public:
+  struct Tree {
+    std::vector<DecisionTree::Node> nodes;
+    std::vector<double> leaf_probs;
+  };
+
+  SortingSplitter(const TreeConfig& config, const Matrix& x,
+                  std::span<const int> y)
+      : config_(config), x_(x), y_(y) {}
+
+  Tree fit_on(std::uint64_t seed, std::vector<std::size_t> indices) {
+    tree_ = {};
+    Rng rng(seed);
+    build_node(indices, 0, indices.size(), 0, rng);
+    return std::move(tree_);
+  }
+
+ private:
+  static double impurity(std::span<const double> counts, double total,
+                         SplitCriterion criterion) {
+    if (total <= 0.0) return 0.0;
+    if (criterion == SplitCriterion::Gini) {
+      double acc = 0.0;
+      for (const double c : counts) {
+        const double p = c / total;
+        acc += p * p;
+      }
+      return 1.0 - acc;
+    }
+    double acc = 0.0;
+    for (const double c : counts) {
+      if (c <= 0.0) continue;
+      const double p = c / total;
+      acc -= p * std::log2(p);
+    }
+    return acc;
+  }
+
+  std::vector<std::size_t> sample_features(Rng& rng) const {
+    const std::size_t f_total = x_.cols();
+    std::size_t f_try = f_total;
+    if (config_.max_features == -1) {
+      f_try = std::max<std::size_t>(
+          1, static_cast<std::size_t>(std::sqrt(static_cast<double>(f_total))));
+    } else if (config_.max_features > 0) {
+      f_try = std::min<std::size_t>(
+          static_cast<std::size_t>(config_.max_features), f_total);
+    }
+    if (f_try == f_total) {
+      std::vector<std::size_t> all(f_total);
+      std::iota(all.begin(), all.end(), std::size_t{0});
+      return all;
+    }
+    return rng.sample_without_replacement(f_total, f_try);
+  }
+
+  int make_leaf(std::span<const std::size_t> rows) {
+    const auto k = static_cast<std::size_t>(config_.num_classes);
+    const int leaf_start = static_cast<int>(tree_.leaf_probs.size());
+    tree_.leaf_probs.resize(tree_.leaf_probs.size() + k, 0.0);
+    double* probs = tree_.leaf_probs.data() + leaf_start;
+    for (const std::size_t i : rows) {
+      probs[static_cast<std::size_t>(y_[i])] += 1.0;
+    }
+    const double inv = 1.0 / static_cast<double>(rows.size());
+    for (std::size_t c = 0; c < k; ++c) probs[c] *= inv;
+    DecisionTree::Node node;
+    node.leaf_start = leaf_start;
+    tree_.nodes.push_back(node);
+    return static_cast<int>(tree_.nodes.size() - 1);
+  }
+
+  int build_node(std::vector<std::size_t>& indices, std::size_t begin,
+                 std::size_t end, int depth, Rng& rng) {
+    const std::size_t n = end - begin;
+    const auto k = static_cast<std::size_t>(config_.num_classes);
+    const auto node_span =
+        std::span<const std::size_t>(indices.data() + begin, n);
+    std::vector<double> counts(k, 0.0);
+    for (const std::size_t i : node_span) {
+      counts[static_cast<std::size_t>(y_[i])] += 1.0;
+    }
+    bool pure = false;
+    for (const double c : counts) {
+      if (c == static_cast<double>(n)) pure = true;
+    }
+    const bool depth_capped =
+        config_.max_depth >= 0 && depth >= config_.max_depth;
+    if (pure || depth_capped ||
+        n < static_cast<std::size_t>(config_.min_samples_split)) {
+      return make_leaf(node_span);
+    }
+
+    const std::vector<std::size_t> features = sample_features(rng);
+    const double parent_impurity =
+        impurity(counts, static_cast<double>(n), config_.criterion);
+    double best_gain = 1e-12;
+    std::size_t best_feature = 0;
+    double best_threshold = 0.0;
+    std::vector<std::pair<double, int>> sorted(n);
+    std::vector<double> left_counts(k);
+    std::vector<double> right_counts(k);
+    const auto min_leaf = static_cast<std::size_t>(config_.min_samples_leaf);
+    for (const std::size_t f : features) {
+      for (std::size_t i = 0; i < n; ++i) {
+        sorted[i] = {x_(node_span[i], f), y_[node_span[i]]};
+      }
+      std::sort(sorted.begin(), sorted.end(),
+                [](const std::pair<double, int>& a,
+                   const std::pair<double, int>& b) {
+                  if (!exact_value_equal(a.first, b.first)) {
+                    return exact_value_less(a.first, b.first);
+                  }
+                  return a.second < b.second;
+                });
+      if (exact_value_equal(sorted.front().first, sorted.back().first)) {
+        continue;
+      }
+      std::fill(left_counts.begin(), left_counts.end(), 0.0);
+      for (std::size_t i = 0; i + 1 < n; ++i) {
+        left_counts[static_cast<std::size_t>(sorted[i].second)] += 1.0;
+        const std::size_t n_left = i + 1;
+        const std::size_t n_right = n - n_left;
+        if (n_left < min_leaf || n_right < min_leaf) continue;
+        if (exact_value_equal(sorted[i].first, sorted[i + 1].first)) continue;
+        double right_total = 0.0;
+        const double imp_left = impurity(
+            left_counts, static_cast<double>(n_left), config_.criterion);
+        for (std::size_t c = 0; c < k; ++c) {
+          right_counts[c] = counts[c] - left_counts[c];
+          right_total += right_counts[c];
+        }
+        const double imp_right =
+            impurity(right_counts, right_total, config_.criterion);
+        const double weighted = (static_cast<double>(n_left) * imp_left +
+                                 static_cast<double>(n_right) * imp_right) /
+                                static_cast<double>(n);
+        const double gain = parent_impurity - weighted;
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = f;
+          best_threshold =
+              exact_cut_threshold(sorted[i].first, sorted[i + 1].first);
+        }
+      }
+    }
+    if (best_gain <= 1e-12) return make_leaf(node_span);
+
+    const auto mid_it = std::partition(
+        indices.begin() + static_cast<std::ptrdiff_t>(begin),
+        indices.begin() + static_cast<std::ptrdiff_t>(end),
+        [&](std::size_t i) {
+          const double v = x_(i, best_feature);
+          return v <= best_threshold || !std::isfinite(v);
+        });
+    const auto mid = static_cast<std::size_t>(mid_it - indices.begin());
+    if (mid == begin || mid == end) return make_leaf(node_span);
+
+    DecisionTree::Node node;
+    node.feature = static_cast<int>(best_feature);
+    node.threshold = best_threshold;
+    node.importance = best_gain * static_cast<double>(n);
+    const int self = static_cast<int>(tree_.nodes.size());
+    tree_.nodes.push_back(node);
+    const int left = build_node(indices, begin, mid, depth + 1, rng);
+    const int right = build_node(indices, mid, end, depth + 1, rng);
+    tree_.nodes[static_cast<std::size_t>(self)].left = left;
+    tree_.nodes[static_cast<std::size_t>(self)].right = right;
+    return self;
+  }
+
+  TreeConfig config_;
+  const Matrix& x_;
+  std::span<const int> y_;
+  Tree tree_;
+};
+
+std::uint64_t double_bits(double v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+// Node-for-node bit equality: feature, threshold, children, leaf offset,
+// importance and every leaf probability.
+void expect_same_tree(const DecisionTree& tree,
+                      const SortingSplitter::Tree& oracle,
+                      const std::string& what) {
+  ASSERT_EQ(tree.nodes().size(), oracle.nodes.size()) << what;
+  for (std::size_t i = 0; i < oracle.nodes.size(); ++i) {
+    const DecisionTree::Node& a = tree.nodes()[i];
+    const DecisionTree::Node& b = oracle.nodes[i];
+    ASSERT_EQ(a.feature, b.feature) << what << " node " << i;
+    ASSERT_EQ(double_bits(a.threshold), double_bits(b.threshold))
+        << what << " node " << i << ": " << a.threshold << " vs "
+        << b.threshold;
+    ASSERT_EQ(a.left, b.left) << what << " node " << i;
+    ASSERT_EQ(a.right, b.right) << what << " node " << i;
+    ASSERT_EQ(a.leaf_start, b.leaf_start) << what << " node " << i;
+    ASSERT_EQ(double_bits(a.importance), double_bits(b.importance))
+        << what << " node " << i;
+  }
+  ASSERT_EQ(tree.leaf_probs().size(), oracle.leaf_probs.size()) << what;
+  for (std::size_t i = 0; i < oracle.leaf_probs.size(); ++i) {
+    ASSERT_EQ(double_bits(tree.leaf_probs()[i]),
+              double_bits(oracle.leaf_probs[i]))
+        << what << " leaf prob " << i;
+  }
+}
+
+// A seeded 3-class matrix whose columns cover what the exact scan must
+// order and cut exactly: continuous values with class signal, heavy ties,
+// a constant column, NaN/±inf mixed into finite values, an all-NaN column,
+// a ±0.0 column, neighbouring doubles whose midpoint rounds onto the upper
+// one, and values near ±DBL_MAX whose midpoints overflow.
+Blobs exact_split_corpus(std::size_t rows, std::uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double below_one = std::nextafter(1.0, 0.0);
+  Rng rng(seed);
+  Blobs out;
+  out.x = Matrix(rows, 10);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const int label = static_cast<int>(rng.uniform_index(3));
+    out.y.push_back(label);
+    const double signal = static_cast<double>(label);
+    const auto r = [&](std::size_t f, double v) { out.x(i, f) = v; };
+    r(0, signal + rng.normal());
+    r(1, std::round(signal + 1.5 * rng.normal()));
+    r(2, 3.5);
+    const double u = rng.uniform();
+    r(3, u < 0.08 ? kNaN
+         : u < 0.14 ? kInf
+         : u < 0.2  ? -kInf
+                    : signal * 0.5 + rng.normal());
+    r(4, kNaN);
+    const double z = rng.uniform();
+    r(5, z < 0.3 ? 0.0 : z < 0.6 ? -0.0 : (z < 0.8 ? 1.0 : -1.0) * (signal + 1.0));
+    const double w = rng.uniform();
+    r(6, w < 0.33 ? below_one : w < 0.66 ? 1.0 : 2.0 + signal);
+    r(7, (rng.uniform() < 0.5 ? 1.0 : -1.0) * (1.5e308 + 1e307 * signal));
+    r(8, static_cast<double>(rng.uniform_index(4)));
+    r(9, rng.normal());
+  }
+  return out;
+}
+
+struct OracleCase {
+  SplitCriterion criterion;
+  int min_samples_leaf;
+  int max_features;
+  std::size_t rows;
+};
+
+std::vector<OracleCase> oracle_cases() {
+  std::vector<OracleCase> cases;
+  for (const auto criterion : {SplitCriterion::Gini, SplitCriterion::Entropy}) {
+    for (const int leaf : {1, 3}) {
+      for (const int mf : {0, -1, 5}) {
+        // 600 rows puts root nodes above the 256-row entropy table.
+        for (const std::size_t rows : {std::size_t{40}, std::size_t{600}}) {
+          cases.push_back({criterion, leaf, mf, rows});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+std::string describe(const OracleCase& c) {
+  return std::string(c.criterion == SplitCriterion::Gini ? "gini" : "entropy") +
+         " leaf=" + std::to_string(c.min_samples_leaf) +
+         " max_features=" + std::to_string(c.max_features) +
+         " rows=" + std::to_string(c.rows);
+}
+
+TEST(ExactSplitOracle, DecisionTreeMatchesSortingSplitterNodeForNode) {
+  std::uint64_t seed = 300;
+  for (const OracleCase& c : oracle_cases()) {
+    const Blobs data = exact_split_corpus(c.rows, ++seed);
+    TreeConfig cfg;
+    cfg.num_classes = 3;
+    cfg.criterion = c.criterion;
+    cfg.min_samples_leaf = c.min_samples_leaf;
+    cfg.max_features = c.max_features;
+    SortingSplitter oracle(cfg, data.x, data.y);
+
+    DecisionTree tree(cfg, seed);
+    tree.fit(data.x, data.y);
+    std::vector<std::size_t> all(c.rows);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    expect_same_tree(tree, oracle.fit_on(seed, all), "fit " + describe(c));
+
+    // Bootstrap duplicates: the same row counted several times per rank.
+    Rng boot(seed ^ 0x5EEDULL);
+    const std::vector<std::size_t> idx = boot.bootstrap_indices(c.rows);
+    DecisionTree bagged(cfg, seed + 1);
+    bagged.fit_on(data.x, data.y, idx);
+    expect_same_tree(bagged, oracle.fit_on(seed + 1, idx),
+                     "fit_on bootstrap " + describe(c));
+  }
+}
+
+TEST(ExactSplitOracle, ForestMatchesSortingSplitterNodeForNode) {
+  std::uint64_t seed = 400;
+  for (const OracleCase& c : oracle_cases()) {
+    const Blobs data = exact_split_corpus(c.rows, ++seed);
+    ForestConfig cfg;
+    cfg.num_classes = 3;
+    cfg.n_estimators = 4;
+    cfg.max_depth = 8;
+    cfg.criterion = c.criterion;
+    cfg.min_samples_leaf = c.min_samples_leaf;
+    cfg.max_features = c.max_features;
+    RandomForest rf(cfg, seed);
+    rf.fit(data.x, data.y);
+
+    TreeConfig tc;
+    tc.num_classes = cfg.num_classes;
+    tc.max_depth = cfg.max_depth;
+    tc.min_samples_leaf = cfg.min_samples_leaf;
+    tc.max_features = cfg.max_features;
+    tc.criterion = cfg.criterion;
+    SortingSplitter oracle(tc, data.x, data.y);
+    // RandomForest::fit's seeding: one seed per tree from the forest seed,
+    // each tree's bootstrap drawn from its own stream.
+    Rng seeder(seed);
+    ASSERT_EQ(rf.trees().size(), 4u);
+    for (std::size_t t = 0; t < rf.trees().size(); ++t) {
+      const std::uint64_t tree_seed = seeder.next();
+      Rng boot(tree_seed ^ 0xB0075742ULL);
+      expect_same_tree(rf.trees()[t],
+                       oracle.fit_on(tree_seed,
+                                     boot.bootstrap_indices(c.rows)),
+                       "forest tree " + std::to_string(t) + " " + describe(c));
+    }
+  }
 }
 
 // Property sweep: every tree model's probabilities are valid distributions
