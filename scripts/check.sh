@@ -18,12 +18,13 @@
 #  6. serving chaos smoke: burst a ServiceHost under injected slow/failing
 #     extractions and poisoned bundle pushes; only typed shedding,
 #     deadline-honest Ok results, and rollback bit-identity are acceptable;
-#  7. serving latency smoke: single-window sweep over batch x model x split
-#     algo; the small-batch threshold-SoA kernel must be >=3x the forced
-#     block path at batch=1 on RF+GBM with bit-identical probabilities;
+#  7. serving latency smoke: single-window sweep over batch x model (DT, RF,
+#     GBM exact and hist); the small-batch threshold-SoA kernel must be >=3x
+#     the forced block path at batch=1 on the exact RF and the hist GBM,
+#     with bit-identical probabilities on every model;
 #     percentiles land in BENCH_serving_latency.json;
-#  8. ML smoke: histogram vs exact split finders agree on macro-F1 within
-#     the parity gate; compiled flat-SoA inference matches the
+#  8. ML smoke: GBM's histogram and exact split finders agree on macro-F1
+#     within the parity gate; compiled flat-SoA inference matches the
 #     object-traversal reference on every argmax, stays within 1e-9 on
 #     probabilities, and clears the 3x speedup gate at the 2000x2000 pool
 #     scale (timings plus the small/block batch-size sweep land in
@@ -78,7 +79,7 @@ echo "== serving latency smoke: small-batch kernel >=3x at batch=1 =="
 (cd build/bench && ./bench_serving --latency-smoke)
 
 echo
-echo "== ml smoke: hist/exact train parity + compiled predict gates =="
+echo "== ml smoke: GBM hist/exact train parity + compiled predict gates =="
 (cd build/bench && ./bench_micro_ml --smoke)
 
 echo

@@ -1,12 +1,15 @@
-// Feature quantization for histogram-based tree training (LightGBM-style,
-// Ke et al. NeurIPS 2017): each feature column is cut once into at most 255
-// uint8 bins at quantile boundaries, with bin 0 reserved for NaN. Trees in
-// `SplitAlgo::Hist` mode search splits over bin histograms in O(n × f_try)
-// per node instead of re-sorting raw values, while the stored thresholds
-// stay raw-valued so prediction never touches the binned view.
+// Feature codings for tree training. `ExactRanks` is the lossless rank
+// coding behind the exact split finder of decision trees and forests.
+// `BinnedMatrix` is the feature quantizer behind gradient boosting's
+// histogram mode (LightGBM-style, Ke et al. NeurIPS 2017): each feature
+// column is cut once into at most 255 uint8 bins at quantile boundaries,
+// with bin 0 reserved for NaN, and `SplitAlgo::Hist` boosters search splits
+// over bin histograms in O(n × f_try) per node instead of re-sorting raw
+// values, while the stored thresholds stay raw-valued so prediction never
+// touches the binned view.
 //
-// A BinnedMatrix is built once per `fit` and shared read-only across all
-// trees / boosting rounds; it never outlives training.
+// Both are built once per `fit` and shared read-only across all trees /
+// boosting rounds; neither outlives training.
 #pragma once
 
 #include <cmath>
@@ -41,7 +44,7 @@ inline bool exact_value_equal(double a, double b) noexcept {
 /// group starts at `right`" between adjacent distinct sort keys: -inf when
 /// the left group is the non-finite class (only non-finite values satisfy
 /// `v <= -inf || !isfinite(v)`), else the usual midpoint of the two finite
-/// neighbors — the same two forms the histogram splitter emits.
+/// neighbors — the same two forms GBM's histogram splitter emits.
 inline double exact_cut_threshold(double left, double right) noexcept {
   return std::isfinite(left) ? 0.5 * (left + right)
                              : -std::numeric_limits<double>::infinity();
@@ -60,12 +63,12 @@ inline bool split_routes_right(double v, double threshold) noexcept {
           static_cast<int>(std::isfinite(v))) != 0;
 }
 
-/// Split-finding algorithm for the tree models. `Exact` (the default) scores
-/// every boundary between distinct raw values and is the reference
-/// implementation: decision trees and forests scan lossless per-fit rank
-/// codes (`ExactRanks`), gradient boosting sorts raw values per node.
-/// `Hist` quantizes features once into at most 255 bins and scans bin
-/// histograms — near-identical accuracy, cheaper on large wide matrices.
+/// Split-finding algorithm for gradient boosting (`GbmConfig::split_algo`;
+/// decision trees and forests always split exactly, over `ExactRanks`).
+/// `Exact` (the default) scores every boundary between distinct raw values
+/// by sorting them per node and is the reference implementation. `Hist`
+/// quantizes features once into at most 255 bins and scans bin histograms —
+/// near-identical accuracy, cheaper on large wide matrices.
 enum class SplitAlgo { Exact, Hist };
 
 /// Lossless rank coding for the exact tree split finder. Each column's
@@ -75,7 +78,7 @@ enum class SplitAlgo { Exact, Hist };
 /// the same order, as sorting the node's raw values, so the splitter scans
 /// integer counts without sorting at any node. Built once per `fit`
 /// (columns ranked in parallel on the global pool) and shared read-only
-/// across trees, like BinnedMatrix; it never outlives training.
+/// across trees; it never outlives training.
 class ExactRanks {
  public:
   ExactRanks() noexcept = default;
@@ -84,8 +87,7 @@ class ExactRanks {
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
 
-  /// Rank codes of feature `f` for all rows (column-major, like
-  /// BinnedMatrix::column).
+  /// Rank codes of feature `f` for all rows (column-major).
   const std::uint32_t* column(std::size_t f) const noexcept {
     ALBA_DCHECK(f < cols_);
     return codes_.data() + f * rows_;

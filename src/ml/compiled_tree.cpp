@@ -113,7 +113,7 @@ std::shared_ptr<const CompiledTreePredictor> CompiledTreePredictor::build(
   if (leaf_values.size() > kMaxIndex) return nullptr;
 
   // Per-feature sorted-unique threshold tables from the thresholds the
-  // trees actually store (works for Exact- and Hist-trained models alike).
+  // trees actually store (works for exact- and histogram-trained models).
   std::vector<std::pair<int, double>> ft;
   std::size_t total_nodes = 0;
   for (const auto& t : trees) {
@@ -150,7 +150,7 @@ std::shared_ptr<const CompiledTreePredictor> CompiledTreePredictor::build(
   p->min_features_ = static_cast<std::size_t>(max_feature + 1);
 
   // Codes are uint8 unless some feature carries more than 255 distinct
-  // thresholds (never the case for Hist-trained models); past 65535 the
+  // thresholds (never the case for histogram-trained GBMs); past 65535 the
   // bin field itself would overflow and the caller falls back.
   for (std::size_t u = 0; u + 1 < p->cut_offset_.size(); ++u) {
     const std::size_t m = p->cut_offset_[u + 1] - p->cut_offset_[u];

@@ -21,10 +21,10 @@
 // uses, so probabilities are bit-identical, not merely close. The object
 // walk stays available as `predict_proba_reference` on each model.
 //
-// Compilation works for Exact- and Hist-trained models alike: the cut
-// table is built from the thresholds actually stored in the trees, so it
-// is the per-feature sorted-unique union of split points, not the training
-// histogram's edges.
+// Compilation works for every trained model — exact-split trees and
+// forests, exact- and histogram-trained GBMs: the cut table is built from
+// the thresholds actually stored in the trees, so it is the per-feature
+// sorted-unique union of split points, not the training histogram's edges.
 //
 // Small batches take a different kernel. Quantizing a block ranks every
 // used feature's value against its whole cut table, which amortizes
@@ -85,7 +85,7 @@ class CompiledTreePredictor {
     return slot_feature_.size();
   }
   /// True when some feature has more than 255 cuts and block codes widen
-  /// to uint16 (Hist-trained models always stay on the uint8 path).
+  /// to uint16 (histogram-trained GBMs always stay on the uint8 path).
   bool wide_codes() const noexcept { return wide_codes_; }
   /// Minimum x.cols() an input matrix must have.
   std::size_t min_features() const noexcept { return min_features_; }

@@ -75,12 +75,6 @@ double impurity(std::span<const double> counts, double total,
   return acc;
 }
 
-// Sibling subtraction passes a node's full-feature histogram down the
-// recursion (larger child = parent − smaller child). Histograms are
-// depth-bounded in memory, so stop handing them down past this depth —
-// deeper nodes are tiny and rebuild cheaply anyway.
-constexpr int kMaxSubtractDepth = 32;
-
 // Candidate features per split, drawn into one reused permutation. A draw
 // makes the same uniform_index calls, in the same order, as
 // Rng::sample_without_replacement (a partial Fisher–Yates over the
@@ -135,16 +129,17 @@ struct CodeCounts {
       : counts(codes * k, 0.0), occupied((codes + 63) / 64, 0) {}
 };
 
-// The compact scan both split finders run per candidate feature: counts the
-// node's rows per code × class, then walks the occupied codes in ascending
-// order, cumulating each into `left` and calling `cut(code, next_code,
-// n_left)` for every code but the last (cutting there would leave the right
-// side empty). A node of m rows costs O(m + occupied × k), however many
-// codes the column has. Leaves `s` zeroed again.
-template <typename Code, typename Cut>
-void scan_occupied(const Code* codes, std::span<const std::size_t> rows,
-                   std::span<const int> y, std::size_t k, CodeCounts& s,
-                   std::span<double> left, Cut&& cut) {
+// The compact scan the split finder runs per candidate feature: counts the
+// node's rows per rank code × class, then walks the occupied codes in
+// ascending order, cumulating each into `left` and calling `cut(code,
+// next_code, n_left)` for every code but the last (cutting there would leave
+// the right side empty). A node of m rows costs O(m + occupied × k), however
+// many codes the column has. Leaves `s` zeroed again.
+template <typename Cut>
+void scan_occupied(const std::uint32_t* codes,
+                   std::span<const std::size_t> rows, std::span<const int> y,
+                   std::size_t k, CodeCounts& s, std::span<double> left,
+                   Cut&& cut) {
   std::size_t lo = s.occupied.size();
   std::size_t hi = 0;
   for (const std::size_t row : rows) {
@@ -179,24 +174,6 @@ void scan_occupied(const Code* codes, std::span<const std::size_t> rows,
     }
   }
   if (have_prev) std::fill_n(s.counts.data() + prev * k, k, 0.0);
-}
-
-// Accumulates per-feature (bin × class) count histograms for the given rows.
-// `hist` must be zeroed, laid out [feature][bin][class] with a fixed
-// kMaxBins × k stride per feature.
-void build_count_hist(const BinnedMatrix& binned, std::span<const int> y,
-                      std::span<const std::size_t> rows,
-                      std::span<const std::size_t> features, std::size_t k,
-                      double* hist) {
-  const std::size_t stride = static_cast<std::size_t>(BinnedMatrix::kMaxBins) * k;
-  for (std::size_t fi = 0; fi < features.size(); ++fi) {
-    const std::uint8_t* codes = binned.column(features[fi]);
-    double* h = hist + fi * stride;
-    for (const std::size_t row : rows) {
-      h[static_cast<std::size_t>(codes[row]) * k +
-        static_cast<std::size_t>(y[row])] += 1.0;
-    }
-  }
 }
 
 }  // namespace
@@ -242,8 +219,8 @@ struct DecisionTree::SplitScratch {
   }
 
   // Gain of cutting the node (n rows, impurity `parent`) into `left`
-  // (n_left rows) and the rest — the one formula both split finders score
-  // — or -inf when a side holds fewer than `min_leaf` rows.
+  // (n_left rows) and the rest, or -inf when a side holds fewer than
+  // `min_leaf` rows.
   double gain(double n, double parent, double n_left) {
     const double n_right = n - n_left;
     if (n_left < min_leaf || n_right < min_leaf) {
@@ -277,13 +254,7 @@ void DecisionTree::fit(const Matrix& x, std::span<const int> y) {
 }
 
 void DecisionTree::fit_on(const Matrix& x, std::span<const int> y,
-                          std::vector<std::size_t> indices) {
-  fit_on(x, y, std::move(indices), nullptr, nullptr);
-}
-
-void DecisionTree::fit_on(const Matrix& x, std::span<const int> y,
                           std::vector<std::size_t> indices,
-                          const BinnedMatrix* binned,
                           const ExactRanks* ranks) {
   ALBA_CHECK(x.rows() == y.size());
   ALBA_CHECK(!indices.empty()) << "fitting a tree on zero samples";
@@ -295,18 +266,8 @@ void DecisionTree::fit_on(const Matrix& x, std::span<const int> y,
   leaf_probs_.clear();
   compiled_.reset();  // stale fast path must never outlive a refit
   Rng rng(seed_);
-  // Code `x` locally when the caller didn't share a coding (the forest
+  // Rank `x` locally when the caller didn't share a coding (the forest
   // builds one per fit and passes it to every tree).
-  if (config_.split_algo == SplitAlgo::Hist) {
-    const BinnedMatrix local =
-        binned == nullptr ? BinnedMatrix(x) : BinnedMatrix();
-    const BinnedMatrix& codes = binned == nullptr ? local : *binned;
-    ALBA_CHECK(codes.rows() == x.rows() && codes.cols() == x.cols())
-        << "binned view shape mismatch";
-    SplitScratch scratch(config_, x.cols(), BinnedMatrix::kMaxBins);
-    build_node_hist(codes, y, indices, 0, indices.size(), 0, rng, scratch, {});
-    return;
-  }
   const ExactRanks local = ranks == nullptr ? ExactRanks(x) : ExactRanks();
   const ExactRanks& codes = ranks == nullptr ? local : *ranks;
   ALBA_CHECK(codes.rows() == x.rows() && codes.cols() == x.cols())
@@ -418,166 +379,6 @@ int DecisionTree::build_node(const Matrix& x, const ExactRanks& ranks,
   return self;
 }
 
-// Histogram split finder: scans bin codes instead of exact ranks, so a
-// column costs at most 255 candidate cuts. `node_hist` is this node's
-// [feature][bin][class] histogram handed down by the parent via sibling
-// subtraction (only when every split sees all features, so parent and
-// child histograms cover the same columns); empty means build it here.
-int DecisionTree::build_node_hist(const BinnedMatrix& binned,
-                                  std::span<const int> y,
-                                  std::vector<std::size_t>& indices,
-                                  std::size_t begin, std::size_t end, int depth,
-                                  Rng& rng, SplitScratch& scratch,
-                                  std::vector<double>&& node_hist) {
-  const std::size_t n = end - begin;
-  const auto k = static_cast<std::size_t>(config_.num_classes);
-  const auto node_span =
-      std::span<const std::size_t>(indices.data() + begin, n);
-
-  const bool pure = scratch.count_classes(y, node_span);
-  const bool depth_capped =
-      config_.max_depth >= 0 && depth >= config_.max_depth;
-  if (pure || depth_capped ||
-      n < static_cast<std::size_t>(config_.min_samples_split)) {
-    return make_leaf(y, node_span);
-  }
-
-  const std::size_t f_total = binned.cols();
-  const std::span<const std::size_t> features = scratch.features.draw(rng);
-  const bool all_features = features.size() == f_total;
-  const std::size_t stride = static_cast<std::size_t>(BinnedMatrix::kMaxBins) * k;
-
-  // Sibling subtraction passes full node histograms down the recursion, so
-  // they are only worth materializing when every split sees all features
-  // (parent and child then histogram the same columns). Subsampled nodes —
-  // the forest's default — use the compact scan instead: a full
-  // [feature][bin][class] histogram costs O(kMaxBins × k) per feature to
-  // zero and scan no matter how small the node is, which makes deep trees
-  // slower than the exact splitter.
-  const bool subtract = all_features && depth < kMaxSubtractDepth;
-  if (node_hist.empty() && subtract) {
-    node_hist.assign(features.size() * stride, 0.0);
-    build_count_hist(binned, y, node_span, features, k, node_hist.data());
-  }
-
-  const auto nd = static_cast<double>(n);
-  const double parent_impurity = scratch.node_impurity(nd);
-  double best_gain = 1e-12;
-  std::size_t best_feature = 0;
-  int best_bin = 0;
-
-  // A cut after bin b sends bins 0..b left and higher bins right — NaN
-  // (bin 0, the leftmost) always rides with the left side, matching the
-  // raw-value predicate `value <= threshold || !isfinite(value)`. A cut at
-  // b == 0 separates the non-finite rows from every finite one (threshold
-  // -inf). An empty bin repeats the previous cut's partition, so the full
-  // scan skips it and the compact scan never visits it: both pick the same
-  // split.
-  const auto consider = [&](std::size_t f, int b, double n_left) {
-    const double gain = scratch.gain(nd, parent_impurity, n_left);
-    if (gain > best_gain) {
-      best_gain = gain;
-      best_feature = f;
-      best_bin = b;
-    }
-  };
-
-  if (!node_hist.empty()) {
-    for (std::size_t fi = 0; fi < features.size(); ++fi) {
-      const std::size_t f = features[fi];
-      const int nb = binned.num_bins(f);
-      if (nb <= 2) continue;  // at most one finite bin: constant column
-      const double* h = node_hist.data() + fi * stride;
-      std::fill(scratch.left.begin(), scratch.left.end(), 0.0);
-      double n_left = 0.0;
-      for (int b = 0; b + 1 < nb; ++b) {
-        const double* bin = h + static_cast<std::size_t>(b) * k;
-        double bin_total = 0.0;
-        for (std::size_t c = 0; c < k; ++c) {
-          scratch.left[c] += bin[c];
-          bin_total += bin[c];
-        }
-        n_left += bin_total;
-        if (bin_total != 0.0) consider(f, b, n_left);
-      }
-    }
-  } else {
-    for (const std::size_t f : features) {
-      if (binned.num_bins(f) <= 2) continue;  // constant column
-      scan_occupied(binned.column(f), node_span, y, k, scratch.codes,
-                    scratch.left,
-                    [&](std::size_t b, std::size_t, double n_left) {
-                      consider(f, static_cast<int>(b), n_left);
-                    });
-    }
-  }
-
-  if (best_gain <= 1e-12) return make_leaf(y, node_span);
-
-  // Partition [begin, end) by bin code; NaN (code 0) goes left, exactly as
-  // raw-value prediction routes it (non-finite values traverse left).
-  const std::uint8_t* best_codes = binned.column(best_feature);
-  const auto mid_it = std::partition(
-      indices.begin() + static_cast<std::ptrdiff_t>(begin),
-      indices.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t i) {
-        return static_cast<int>(best_codes[i]) <= best_bin;
-      });
-  const std::size_t mid =
-      static_cast<std::size_t>(mid_it - indices.begin());
-  if (mid == begin || mid == end) return make_leaf(y, node_span);
-
-  Node node;
-  node.feature = static_cast<int>(best_feature);
-  // A cut at bin 0 sends only the non-finite rows left: -inf realizes it in
-  // raw-value space (`v <= -inf` is false for every finite v, and non-finite
-  // values route left unconditionally).
-  node.threshold = best_bin == 0
-                       ? -std::numeric_limits<double>::infinity()
-                       : binned.upper_edge(best_feature, best_bin);
-  node.importance = best_gain * nd;
-  const int self = static_cast<int>(nodes_.size());
-  nodes_.push_back(node);
-
-  // Sibling subtraction: build the smaller child's histogram from its rows
-  // and derive the larger child's as parent − smaller, halving histogram
-  // work. Only valid when parent and children histogram the same columns
-  // (all-features mode); depth-capped so live histograms stay bounded.
-  std::vector<double> left_hist;
-  std::vector<double> right_hist;
-  if (subtract) {
-    const std::size_t n_left_rows = mid - begin;
-    const bool left_smaller = n_left_rows * 2 <= n;
-    const auto small_span =
-        left_smaller
-            ? std::span<const std::size_t>(indices.data() + begin, n_left_rows)
-            : std::span<const std::size_t>(indices.data() + mid, end - mid);
-    std::vector<double> small_hist(node_hist.size(), 0.0);
-    build_count_hist(binned, y, small_span, features, k, small_hist.data());
-    // Reuse the parent's buffer for the larger child.
-    for (std::size_t i = 0; i < node_hist.size(); ++i) {
-      node_hist[i] -= small_hist[i];
-    }
-    if (left_smaller) {
-      left_hist = std::move(small_hist);
-      right_hist = std::move(node_hist);
-    } else {
-      left_hist = std::move(node_hist);
-      right_hist = std::move(small_hist);
-    }
-  }
-  node_hist.clear();
-  node_hist.shrink_to_fit();
-
-  const int left = build_node_hist(binned, y, indices, begin, mid, depth + 1,
-                                   rng, scratch, std::move(left_hist));
-  const int right = build_node_hist(binned, y, indices, mid, end, depth + 1,
-                                    rng, scratch, std::move(right_hist));
-  nodes_[static_cast<std::size_t>(self)].left = left;
-  nodes_[static_cast<std::size_t>(self)].right = right;
-  return self;
-}
-
 void DecisionTree::predict_proba_row(std::span<const double> row,
                                      std::span<double> out) const {
   ALBA_CHECK(fitted()) << "predict before fit";
@@ -590,9 +391,9 @@ void DecisionTree::predict_proba_row(std::span<const double> row,
       std::copy_n(probs, out.size(), out.begin());
       return;
     }
-    // Non-finite values route left, matching BinnedMatrix's bin 0 — the
-    // leftmost bin — so a quarantined/NaN feature at serving time lands in
-    // the branch its training histogram actually saw.
+    // Non-finite values route left, matching rank 0 — the leftmost rank —
+    // so a quarantined/NaN feature at serving time lands in the branch its
+    // training rows took.
     const double v = row[static_cast<std::size_t>(cur.feature)];
     node = split_routes_right(v, cur.threshold) ? cur.right : cur.left;
   }

@@ -1,10 +1,8 @@
-// CART decision-tree classifier with two split finders: the exact one
-// (scores every boundary between distinct raw values, counting the node's
-// rows per `ExactRanks` code built once per fit — no per-node sort) and a
-// histogram-based one (`SplitAlgo::Hist`) that scans quantized bin
-// histograms — see ml/binning.hpp. Per-node feature subsampling is the
-// randomness source of the forest; gini or entropy impurity (both appear
-// in the paper's Table IV grid).
+// CART decision-tree classifier with exact splits: every boundary between
+// distinct raw values is scored, counting the node's rows per `ExactRanks`
+// code built once per fit (ml/binning.hpp) — no per-node sort. Per-node
+// feature subsampling is the randomness source of the forest; gini or
+// entropy impurity (both appear in the paper's Table IV grid).
 #pragma once
 
 #include <cstdint>
@@ -27,7 +25,6 @@ struct TreeConfig {
   // Features examined per split: 0 = all, -1 = floor(sqrt(F)), >0 = exactly.
   int max_features = 0;
   SplitCriterion criterion = SplitCriterion::Gini;
-  SplitAlgo split_algo = SplitAlgo::Exact;
 };
 
 class DecisionTree final : public Classifier {
@@ -37,17 +34,12 @@ class DecisionTree final : public Classifier {
   void fit(const Matrix& x, std::span<const int> y) override;
 
   /// Fits on a row subset (duplicates allowed — bootstrap sampling).
+  /// `ranks` is a caller-built rank coding of `x` — the forest ranks its
+  /// training matrix once and shares it across all trees; null means the
+  /// tree ranks `x` for itself. It is not retained past the call.
   void fit_on(const Matrix& x, std::span<const int> y,
-              std::vector<std::size_t> indices);
-
-  /// Like fit_on but reuses a caller-built coding of `x`: `binned` when the
-  /// config selects `SplitAlgo::Hist`, `ranks` when it selects `Exact` — the
-  /// forest codes its training matrix once and shares it across all trees.
-  /// Either may be null (the tree codes `x` for itself); the one the config
-  /// does not select is ignored, and neither is retained past the call.
-  void fit_on(const Matrix& x, std::span<const int> y,
-              std::vector<std::size_t> indices, const BinnedMatrix* binned,
-              const ExactRanks* ranks);
+              std::vector<std::size_t> indices,
+              const ExactRanks* ranks = nullptr);
 
   Matrix predict_proba(const Matrix& x) const override;
   Matrix predict_proba_reference(const Matrix& x) const override;
@@ -104,10 +96,6 @@ class DecisionTree final : public Classifier {
                  std::span<const int> y, std::vector<std::size_t>& indices,
                  std::size_t begin, std::size_t end, int depth, Rng& rng,
                  SplitScratch& scratch);
-  int build_node_hist(const BinnedMatrix& binned, std::span<const int> y,
-                      std::vector<std::size_t>& indices, std::size_t begin,
-                      std::size_t end, int depth, Rng& rng,
-                      SplitScratch& scratch, std::vector<double>&& node_hist);
   int make_leaf(std::span<const int> y,
                 std::span<const std::size_t> indices);
 

@@ -25,7 +25,6 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y) {
   tree_config.min_samples_leaf = config_.min_samples_leaf;
   tree_config.max_features = config_.max_features;
   tree_config.criterion = config_.criterion;
-  tree_config.split_algo = config_.split_algo;
 
   const auto t = static_cast<std::size_t>(config_.n_estimators);
   trees_.clear();
@@ -40,13 +39,10 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y) {
     trees_.emplace_back(tree_config, tree_seeds[i]);
   }
 
-  // Code the training matrix once — bins in Hist mode, exact ranks in
-  // Exact mode — and share the read-only coding across every tree (each
-  // tree's split search stays single-threaded, so per-tree determinism is
-  // schedule-independent).
-  const bool hist = config_.split_algo == SplitAlgo::Hist;
-  const BinnedMatrix binned = hist ? BinnedMatrix(x) : BinnedMatrix();
-  const ExactRanks ranks = hist ? ExactRanks() : ExactRanks(x);
+  // Rank the training matrix once and share the read-only coding across
+  // every tree (each tree's split search stays single-threaded, so per-tree
+  // determinism is schedule-independent).
+  const ExactRanks ranks(x);
 
   parallel_for(t, [&](std::size_t i) {
     Rng rng(tree_seeds[i] ^ 0xB0075742ULL);
@@ -57,7 +53,7 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y) {
       idx.resize(x.rows());
       std::iota(idx.begin(), idx.end(), std::size_t{0});
     }
-    trees_[i].fit_on(x, y, std::move(idx), &binned, &ranks);
+    trees_[i].fit_on(x, y, std::move(idx), &ranks);
   });
   recompile();
 }

@@ -16,7 +16,6 @@ struct ForestConfig {
   int min_samples_leaf = 1;
   int max_features = -1;  // -1 = sqrt(F), the RF default
   SplitCriterion criterion = SplitCriterion::Entropy;
-  SplitAlgo split_algo = SplitAlgo::Exact;
   bool bootstrap = true;
 };
 

@@ -1,11 +1,14 @@
-// Tests for the feature quantizer behind SplitAlgo::Hist: edge placement
-// (midpoints below the bin budget, quantiles above), the reserved NaN bin,
-// code/edge consistency, and bit-identical Hist training across thread-pool
-// sizes (the last via re-executing this binary with ALBA_THREADS pinned).
+// Tests for the feature quantizer behind GBM's SplitAlgo::Hist: edge
+// placement (midpoints below the bin budget, quantiles above), the reserved
+// NaN bin and code/edge consistency; and bit-identical training across
+// thread-pool sizes for both feature codings — an exact forest over
+// ExactRanks and a Hist booster over BinnedMatrix — via re-executing this
+// binary with ALBA_THREADS pinned.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -155,16 +158,18 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-// Trains a Hist forest and a Hist booster and hashes every prediction.
-// Run directly it asserts the models work; run from the re-exec harness
-// below it also prints the hash for the parent to compare.
-TEST(HistThreads, ChildFitAndHash) {
-  const Synth train = make_synth(220, 30, 5);
+// Trains an exact forest and a Hist booster and hashes every probability
+// bit pattern. 160 columns span three of the codings' 64-column blocks, so
+// ExactRanks and BinnedMatrix code columns in parallel, and the forest
+// fits its trees in parallel. Run directly it asserts the models work; run
+// from the re-exec harness below it also prints the hash for the parent to
+// compare.
+TEST(TrainThreads, ChildFitAndHash) {
+  const Synth train = make_synth(220, 160, 5);
   ForestConfig fcfg;
   fcfg.num_classes = 4;
   fcfg.n_estimators = 12;
   fcfg.max_depth = 6;
-  fcfg.split_algo = SplitAlgo::Hist;
   RandomForest rf(fcfg, 3);
   rf.fit(train.x, train.y);
 
@@ -177,21 +182,25 @@ TEST(HistThreads, ChildFitAndHash) {
   gbm.fit(train.x, train.y);
 
   std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const int p : rf.predict(train.x)) {
-    h = fnv1a(h, static_cast<std::uint64_t>(p));
-  }
-  for (const int p : gbm.predict(train.x)) {
-    h = fnv1a(h, static_cast<std::uint64_t>(p));
+  for (const Classifier* model :
+       {static_cast<const Classifier*>(&rf),
+        static_cast<const Classifier*>(&gbm)}) {
+    const Matrix probs = model->predict_proba(train.x);
+    for (std::size_t i = 0; i < probs.rows(); ++i) {
+      for (std::size_t c = 0; c < probs.cols(); ++c) {
+        h = fnv1a(h, std::bit_cast<std::uint64_t>(probs(i, c)));
+      }
+    }
   }
   EXPECT_GT(accuracy(train.y, rf.predict(train.x)), 0.9);
   EXPECT_GT(accuracy(train.y, gbm.predict(train.x)), 0.9);
-  std::printf("HIST_HASH=%016llx\n", static_cast<unsigned long long>(h));
+  std::printf("TRAIN_HASH=%016llx\n", static_cast<unsigned long long>(h));
 }
 
 // The global pool is sized once per process, so cross-pool-size identity
 // needs fresh processes: re-exec this binary with ALBA_THREADS pinned to
 // 1 / 2 / 8 and compare the prediction hashes the child test prints.
-TEST(HistThreads, PredictionsIdenticalAcrossPoolSizes) {
+TEST(TrainThreads, PredictionsIdenticalAcrossPoolSizes) {
   // popen runs through a shell, where /proc/self/exe would name the shell —
   // resolve the link to this binary's real path first.
   char self[4096];
@@ -203,16 +212,16 @@ TEST(HistThreads, PredictionsIdenticalAcrossPoolSizes) {
   for (const char* threads : {"1", "2", "8"}) {
     const std::string cmd =
         std::string("ALBA_THREADS=") + threads + " '" + self +
-        "' --gtest_filter=HistThreads.ChildFitAndHash 2>/dev/null";
+        "' --gtest_filter=TrainThreads.ChildFitAndHash 2>/dev/null";
     std::FILE* pipe = popen(cmd.c_str(), "r");
     ASSERT_NE(pipe, nullptr);
     std::string hash;
     char line[512];
     while (std::fgets(line, sizeof line, pipe) != nullptr) {
       const std::string s(line);
-      const auto pos = s.find("HIST_HASH=");
+      const auto pos = s.find("TRAIN_HASH=");
       if (pos != std::string::npos) {
-        hash = s.substr(pos + 10, 16);
+        hash = s.substr(pos + 11, 16);
       }
     }
     const int rc = pclose(pipe);

@@ -179,36 +179,32 @@ void check_against_reference(const Classifier& model, const Matrix& train_x,
 
 // ------------------------------------------------- bit-identity matrix ---
 
+// Trees and forests split exactly only; GBM runs both of its split finders
+// here and in the other "BothSplitAlgos" tests.
 TEST(CompiledTree, DecisionTreeMatchesReferenceBothSplitAlgos) {
   const Synth train = make_synth(240, 12, 11);
   const Synth test = make_synth(90, 12, 12);
-  for (const auto algo : {SplitAlgo::Exact, SplitAlgo::Hist}) {
-    TreeConfig cfg;
-    cfg.num_classes = 4;
-    cfg.max_depth = 8;
-    cfg.split_algo = algo;
-    DecisionTree tree(cfg, 5);
-    tree.fit(train.x, train.y);
-    ASSERT_NE(tree.compiled(), nullptr);
-    check_against_reference(tree, train.x, test.x);
-  }
+  TreeConfig cfg;
+  cfg.num_classes = 4;
+  cfg.max_depth = 8;
+  DecisionTree tree(cfg, 5);
+  tree.fit(train.x, train.y);
+  ASSERT_NE(tree.compiled(), nullptr);
+  check_against_reference(tree, train.x, test.x);
 }
 
 TEST(CompiledTree, RandomForestMatchesReferenceBothSplitAlgos) {
   const Synth train = make_synth(240, 12, 21);
   const Synth test = make_synth(90, 12, 22);
-  for (const auto algo : {SplitAlgo::Exact, SplitAlgo::Hist}) {
-    ForestConfig cfg;
-    cfg.num_classes = 4;
-    cfg.n_estimators = 14;
-    cfg.max_depth = 7;
-    cfg.split_algo = algo;
-    RandomForest rf(cfg, 5);
-    rf.fit(train.x, train.y);
-    ASSERT_NE(rf.compiled(), nullptr);
-    EXPECT_EQ(rf.compiled()->num_trees(), 14u);
-    check_against_reference(rf, train.x, test.x);
-  }
+  ForestConfig cfg;
+  cfg.num_classes = 4;
+  cfg.n_estimators = 14;
+  cfg.max_depth = 7;
+  RandomForest rf(cfg, 5);
+  rf.fit(train.x, train.y);
+  ASSERT_NE(rf.compiled(), nullptr);
+  EXPECT_EQ(rf.compiled()->num_trees(), 14u);
+  check_against_reference(rf, train.x, test.x);
 }
 
 TEST(CompiledTree, GbmMatchesReferenceBothSplitAlgos) {
@@ -234,7 +230,6 @@ TEST(CompiledTree, AllNaNRowsRideLeftIdentically) {
   ForestConfig cfg;
   cfg.num_classes = 4;
   cfg.n_estimators = 8;
-  cfg.split_algo = SplitAlgo::Hist;
   RandomForest rf(cfg, 7);
   rf.fit(train.x, train.y);
   ASSERT_NE(rf.compiled(), nullptr);
@@ -263,7 +258,6 @@ TEST(CompiledTree, WideCodePathStaysBitIdentical) {
   cfg.num_classes = 4;
   cfg.n_estimators = 10;
   cfg.max_depth = -1;  // unlimited: each tree memorizes its bootstrap
-  cfg.split_algo = SplitAlgo::Exact;
   RandomForest rf(cfg, 9);
   rf.fit(x, y);
   ASSERT_NE(rf.compiled(), nullptr);
@@ -308,26 +302,24 @@ void check_dispatch_boundary(const Classifier& model, const Matrix& x) {
 TEST(CompiledTree, DispatchBoundarySweepAllFamiliesBothSplitAlgos) {
   const Synth train = make_synth(240, 12, 111);
   const Synth test = make_synth(40, 12, 112);
+  TreeConfig tcfg;
+  tcfg.num_classes = 4;
+  tcfg.max_depth = 8;
+  DecisionTree tree(tcfg, 5);
+  tree.fit(train.x, train.y);
+  ASSERT_NE(tree.compiled(), nullptr);
+  check_dispatch_boundary(tree, test.x);
+
+  ForestConfig fcfg;
+  fcfg.num_classes = 4;
+  fcfg.n_estimators = 9;
+  fcfg.max_depth = 6;
+  RandomForest rf(fcfg, 5);
+  rf.fit(train.x, train.y);
+  ASSERT_NE(rf.compiled(), nullptr);
+  check_dispatch_boundary(rf, test.x);
+
   for (const auto algo : {SplitAlgo::Exact, SplitAlgo::Hist}) {
-    TreeConfig tcfg;
-    tcfg.num_classes = 4;
-    tcfg.max_depth = 8;
-    tcfg.split_algo = algo;
-    DecisionTree tree(tcfg, 5);
-    tree.fit(train.x, train.y);
-    ASSERT_NE(tree.compiled(), nullptr);
-    check_dispatch_boundary(tree, test.x);
-
-    ForestConfig fcfg;
-    fcfg.num_classes = 4;
-    fcfg.n_estimators = 9;
-    fcfg.max_depth = 6;
-    fcfg.split_algo = algo;
-    RandomForest rf(fcfg, 5);
-    rf.fit(train.x, train.y);
-    ASSERT_NE(rf.compiled(), nullptr);
-    check_dispatch_boundary(rf, test.x);
-
     GbmConfig gcfg;
     gcfg.num_classes = 4;
     gcfg.n_estimators = 5;
@@ -359,7 +351,6 @@ TEST(CompiledTree, WideCodeModelBitIdenticalOnBothKernels) {
   cfg.num_classes = 4;
   cfg.n_estimators = 10;
   cfg.max_depth = -1;  // unlimited: >255 thresholds per feature
-  cfg.split_algo = SplitAlgo::Exact;
   RandomForest rf(cfg, 9);
   rf.fit(x, y);
   ASSERT_NE(rf.compiled(), nullptr);
@@ -386,7 +377,6 @@ TEST(CompiledTreeAlloc, SmallBatchKernelNeverAllocates) {
   fcfg.num_classes = 4;
   fcfg.n_estimators = 10;
   fcfg.max_depth = 6;
-  fcfg.split_algo = SplitAlgo::Hist;
   RandomForest rf(fcfg, 5);
   rf.fit(train.x, train.y);
 
@@ -422,7 +412,6 @@ TEST(CompiledTreeAlloc, BlockPathAllocationFreeAtSteadyState) {
   cfg.num_classes = 4;
   cfg.n_estimators = 10;
   cfg.max_depth = 6;
-  cfg.split_algo = SplitAlgo::Hist;
   RandomForest rf(cfg, 5);
   rf.fit(train.x, train.y);
   const auto compiled = rf.compiled();
@@ -475,41 +464,43 @@ TEST(CompiledTree, RefitReplacesTheCompiledPredictor) {
 
 TEST(CompiledTree, LoadedModelsServeOnTheCompiledPath) {
   const Synth train = make_synth(200, 10, 81);
-  for (const auto algo : {SplitAlgo::Exact, SplitAlgo::Hist}) {
-    ForestConfig fcfg;
-    fcfg.num_classes = 4;
-    fcfg.n_estimators = 9;
-    fcfg.max_depth = 6;
-    fcfg.split_algo = algo;
-    RandomForest rf(fcfg, 4);
-    rf.fit(train.x, train.y);
+  ForestConfig fcfg;
+  fcfg.num_classes = 4;
+  fcfg.n_estimators = 9;
+  fcfg.max_depth = 6;
+  RandomForest rf(fcfg, 4);
+  rf.fit(train.x, train.y);
 
+  std::vector<GbmClassifier> gbms;
+  gbms.reserve(2);
+  for (const auto algo : {SplitAlgo::Exact, SplitAlgo::Hist}) {
     GbmConfig gcfg;
     gcfg.num_classes = 4;
     gcfg.n_estimators = 5;
     gcfg.num_leaves = 15;
     gcfg.split_algo = algo;
-    GbmClassifier gbm(gcfg, 4);
-    gbm.fit(train.x, train.y);
+    gbms.emplace_back(gcfg, 4);
+    gbms.back().fit(train.x, train.y);
+  }
 
-    for (const Classifier* model :
-         {static_cast<const Classifier*>(&rf),
-          static_cast<const Classifier*>(&gbm)}) {
-      std::stringstream buf;
-      save_classifier(buf, *model);
-      const auto loaded = load_classifier(buf);
-      ASSERT_TRUE(loaded->fitted());
-      if (const auto* lrf = dynamic_cast<const RandomForest*>(loaded.get())) {
-        EXPECT_NE(lrf->compiled(), nullptr);
-      } else if (const auto* lgbm =
-                     dynamic_cast<const GbmClassifier*>(loaded.get())) {
-        EXPECT_NE(lgbm->compiled(), nullptr);
-      } else {
-        FAIL() << "unexpected loaded type " << loaded->name();
-      }
-      expect_bit_identical(loaded->predict_proba(train.x),
-                           model->predict_proba_reference(train.x));
+  for (const Classifier* model :
+       {static_cast<const Classifier*>(&rf),
+        static_cast<const Classifier*>(&gbms[0]),
+        static_cast<const Classifier*>(&gbms[1])}) {
+    std::stringstream buf;
+    save_classifier(buf, *model);
+    const auto loaded = load_classifier(buf);
+    ASSERT_TRUE(loaded->fitted());
+    if (const auto* lrf = dynamic_cast<const RandomForest*>(loaded.get())) {
+      EXPECT_NE(lrf->compiled(), nullptr);
+    } else if (const auto* lgbm =
+                   dynamic_cast<const GbmClassifier*>(loaded.get())) {
+      EXPECT_NE(lgbm->compiled(), nullptr);
+    } else {
+      FAIL() << "unexpected loaded type " << loaded->name();
     }
+    expect_bit_identical(loaded->predict_proba(train.x),
+                         model->predict_proba_reference(train.x));
   }
 }
 
@@ -523,16 +514,16 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-// Trains Hist models and hashes every probability bit pattern produced by
-// the compiled batch path. Run directly it asserts the models work; run
-// from the re-exec harness below it also prints the hash for the parent.
+// Trains an exact forest and a Hist booster and hashes every probability
+// bit pattern produced by the compiled batch path. Run directly it asserts
+// the models work; run from the re-exec harness below it also prints the
+// hash for the parent.
 TEST(CompiledTreeThreads, ChildPredictAndHash) {
   const Synth train = make_synth(220, 16, 91);
   ForestConfig fcfg;
   fcfg.num_classes = 4;
   fcfg.n_estimators = 10;
   fcfg.max_depth = 6;
-  fcfg.split_algo = SplitAlgo::Hist;
   RandomForest rf(fcfg, 6);
   rf.fit(train.x, train.y);
 
@@ -563,7 +554,8 @@ TEST(CompiledTreeThreads, ChildPredictAndHash) {
 
 // predict_proba parallelizes over row chunks, and the pool is sized once
 // per process — bit-identity across pool sizes needs fresh processes with
-// ALBA_THREADS pinned, exactly like the Hist-training determinism test.
+// ALBA_THREADS pinned, exactly like the training determinism test
+// (TrainThreads in test_binning).
 TEST(CompiledTreeThreads, PredictionsIdenticalAcrossPoolSizes) {
   char self[4096];
   const ssize_t len = readlink("/proc/self/exe", self, sizeof self - 1);

@@ -362,38 +362,7 @@ TEST(Gbm, DeterministicForSeed) {
   }
 }
 
-// ------------------------------------------------- histogram splitting ---
-
-TEST(HistSplit, DecisionTreeMatchesExactAccuracy) {
-  const Blobs train = make_blobs(60, 1.0, 31);
-  const Blobs test = make_blobs(40, 1.0, 32);
-  TreeConfig cfg = blob_tree_config();
-  DecisionTree exact(cfg, 1);
-  exact.fit(train.x, train.y);
-  cfg.split_algo = SplitAlgo::Hist;
-  DecisionTree hist(cfg, 1);
-  hist.fit(train.x, train.y);
-  const double f1_exact = macro_f1(test.y, exact.predict(test.x), 3);
-  const double f1_hist = macro_f1(test.y, hist.predict(test.x), 3);
-  EXPECT_NEAR(f1_hist, f1_exact, 0.02);
-}
-
-TEST(HistSplit, ForestMatchesExactAccuracy) {
-  const Blobs train = make_blobs(60, 1.2, 33);
-  const Blobs test = make_blobs(40, 1.2, 34);
-  ForestConfig cfg;
-  cfg.num_classes = 3;
-  cfg.n_estimators = 25;
-  cfg.max_depth = 8;
-  RandomForest exact(cfg, 7);
-  exact.fit(train.x, train.y);
-  cfg.split_algo = SplitAlgo::Hist;
-  RandomForest hist(cfg, 7);
-  hist.fit(train.x, train.y);
-  const double f1_exact = macro_f1(test.y, exact.predict(test.x), 3);
-  const double f1_hist = macro_f1(test.y, hist.predict(test.x), 3);
-  EXPECT_NEAR(f1_hist, f1_exact, 0.02);
-}
+// --------------------------------------------- GBM histogram splitting ---
 
 TEST(HistSplit, GbmMatchesExactAccuracy) {
   const Blobs train = make_blobs(60, 1.2, 35);
@@ -412,30 +381,12 @@ TEST(HistSplit, GbmMatchesExactAccuracy) {
   EXPECT_NEAR(f1_hist, f1_exact, 0.02);
 }
 
-TEST(HistSplit, DeterministicForSeed) {
-  const Blobs blobs = make_blobs(40, 1.0, 37);
-  ForestConfig cfg;
-  cfg.num_classes = 3;
-  cfg.n_estimators = 10;
-  cfg.split_algo = SplitAlgo::Hist;
-  RandomForest a(cfg, 5);
-  RandomForest b(cfg, 5);
-  a.fit(blobs.x, blobs.y);
-  b.fit(blobs.x, blobs.y);
-  const Matrix pa = a.predict_proba(blobs.x);
-  const Matrix pb = b.predict_proba(blobs.x);
-  for (std::size_t i = 0; i < pa.rows(); ++i) {
-    for (std::size_t j = 0; j < pa.cols(); ++j) {
-      EXPECT_DOUBLE_EQ(pa(i, j), pb(i, j));
-    }
-  }
-}
-
 TEST(NaNRouting, NonFiniteValuesGoLeftAtPredictTime) {
-  // Regression test for the NaN-routing fix: BinnedMatrix codes non-finite
-  // values as bin 0, the leftmost bin, so raw-value traversal must send
-  // them left too. Before the fix `NaN <= threshold` evaluated false and
-  // NaN windows were scored by a branch the training histogram never saw.
+  // Regression test for the NaN-routing fix: training codes non-finite
+  // values as the leftmost class (ExactRanks rank 0, BinnedMatrix bin 0),
+  // so raw-value traversal must send them left too. Before the fix
+  // `NaN <= threshold` evaluated false and NaN windows were scored by a
+  // branch training never saw.
   std::vector<DecisionTree::Node> nodes(3);
   nodes[0].feature = 0;
   nodes[0].threshold = 0.5;
@@ -463,10 +414,11 @@ TEST(NaNRouting, NonFiniteValuesGoLeftAtPredictTime) {
   EXPECT_DOUBLE_EQ(probs[1], 1.0);
 }
 
-TEST(NaNRouting, HistTreesCanIsolateNaNWithMinusInfThreshold) {
-  // When missingness itself carries the label, the hist splitter can cut
-  // after bin 0 (all non-finite left, all finite right); the stored
-  // threshold is -inf so raw traversal reproduces the partition exactly.
+TEST(NaNRouting, ExactTreesCanIsolateNaNWithMinusInfThreshold) {
+  // When missingness itself carries the label, the exact splitter can cut
+  // after rank 0 (all non-finite left, all finite right);
+  // exact_cut_threshold stores -inf so raw traversal reproduces the
+  // partition exactly.
   Rng rng(41);
   Matrix x(80, 1);
   std::vector<int> y(80);
@@ -477,15 +429,18 @@ TEST(NaNRouting, HistTreesCanIsolateNaNWithMinusInfThreshold) {
   }
   TreeConfig cfg;
   cfg.num_classes = 2;
-  cfg.split_algo = SplitAlgo::Hist;
   DecisionTree tree(cfg, 7);
   tree.fit(x, y);
+  ASSERT_EQ(tree.node_count(), 3u);
+  EXPECT_EQ(tree.nodes()[0].threshold,
+            -std::numeric_limits<double>::infinity());
   EXPECT_DOUBLE_EQ(accuracy(y, tree.predict(x)), 1.0);
 }
 
 TEST(HistSplit, HandlesNaNFeaturesEndToEnd) {
-  // Hist routes NaN (bin 0) left at every split, consistently between
-  // training and raw-value prediction.
+  // Both codings route NaN left at every split — the exact forest's rank 0
+  // and the histogram booster's bin 0 — consistently between training and
+  // raw-value prediction.
   Blobs blobs = make_blobs(40, 0.6, 38);
   Rng rng(39);
   for (std::size_t i = 0; i < blobs.x.rows(); ++i) {
@@ -497,10 +452,18 @@ TEST(HistSplit, HandlesNaNFeaturesEndToEnd) {
   ForestConfig cfg;
   cfg.num_classes = 3;
   cfg.n_estimators = 15;
-  cfg.split_algo = SplitAlgo::Hist;
   RandomForest rf(cfg, 11);
   rf.fit(blobs.x, blobs.y);
   EXPECT_GT(accuracy(blobs.y, rf.predict(blobs.x)), 0.9);
+
+  GbmConfig gcfg;
+  gcfg.num_classes = 3;
+  gcfg.n_estimators = 12;
+  gcfg.num_leaves = 15;
+  gcfg.split_algo = SplitAlgo::Hist;
+  GbmClassifier gbm(gcfg, 11);
+  gbm.fit(blobs.x, blobs.y);
+  EXPECT_GT(accuracy(blobs.y, gbm.predict(blobs.x)), 0.9);
 }
 
 TEST(FeatureImportances, InformativeFeatureDominates) {
